@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_QUBIT_BUDGET = 22
+# Largest qubit count the statevector simulation accepts.
+QUBIT_BUDGET = 22
 
 
 @dataclass(frozen=True)
@@ -25,15 +26,13 @@ class AnsatzSpec:
     n_qubits: int
     reps: int = 1
     entangler: str = "linear"
-    qubit_budget: int = DEFAULT_QUBIT_BUDGET
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        if self.n_qubits > self.qubit_budget:
+        if self.n_qubits < 0:
+            raise ValueError("qubit count must be non-negative")
+        if self.n_qubits > QUBIT_BUDGET:
             raise ValueError(
-                f"{self.n_qubits} qubits exceed the statevector budget "
-                f"of {self.qubit_budget}"
+                f"{self.n_qubits} qubits exceed the statevector budget of {QUBIT_BUDGET}"
             )
         if self.reps not in (1, 2):
             raise ValueError(f"reps must be 1 or 2, got {self.reps}")

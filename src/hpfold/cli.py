@@ -11,71 +11,79 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from typing import Optional
 
-from .pipeline import PipelineIOError, RunConfig, run_pipeline
+from .pipeline import SOLVERS, PipelineIOError, RunConfig, run_pipeline
 
-_UNSET = object()
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+
+def _help(text: str, field: str) -> str:
+    """Help text that names the ``RunConfig`` default of ``field``."""
+    value = _DEFAULTS[field]
+    if isinstance(value, bool):
+        value = "on" if value else "off"
+    elif isinstance(value, tuple):
+        value = ",".join(value)
+    return f"{text} (default {value})"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every option defaults to absent, so only explicit settings reach the config."""
     parser = argparse.ArgumentParser(
         prog="hpfold",
         description="Fold an HP bead sequence on a 26-neighbor cubic lattice "
         "by quadratic binary optimization.",
+        argument_default=argparse.SUPPRESS,
     )
     src = parser.add_mutually_exclusive_group()
     src.add_argument("--seq", help="H/P sequence text, e.g. HPPHPPHPHH")
     src.add_argument("--seq-file", help="file containing the H/P sequence")
-    parser.add_argument(
-        "--solver", choices=["anneal", "exhaustive", "vqe"], default=_UNSET,
-        help="optimization backend (default anneal)",
-    )
-    parser.add_argument("--draws", type=int, default=_UNSET,
-                        help="number of independent axis-draw encodings (default 50)")
-    parser.add_argument("--restarts", type=int, default=_UNSET,
-                        help="annealer restarts per draw (default 20)")
-    parser.add_argument("--sweeps", type=int, default=_UNSET,
-                        help="annealer sweeps per restart (default 2000)")
-    parser.add_argument("--alpha", type=float, default=_UNSET,
-                        help="CVaR tail fraction for the vqe solver (default 0.05)")
-    parser.add_argument("--shots", type=int, default=_UNSET,
-                        help="vqe measurement shots per evaluation; 0 = exact (default 4000)")
-    parser.add_argument("--reps", type=int, default=_UNSET,
-                        help="ansatz entangling repetitions, 1 or 2 (default 1)")
-    parser.add_argument("--top-k", type=int, default=_UNSET,
-                        help="post-selection candidate count (default 4000)")
-    parser.add_argument("--max-evals", type=int, default=_UNSET,
-                        help="vqe objective evaluation budget (default 500)")
+    parser.add_argument("--solver", choices=SOLVERS,
+                        help=_help("optimization backend", "solver"))
+    parser.add_argument("--draws", type=int,
+                        help=_help("number of independent axis-draw encodings", "draws"))
+    parser.add_argument("--restarts", type=int,
+                        help=_help("annealer restarts per draw", "restarts"))
+    parser.add_argument("--sweeps", type=int,
+                        help=_help("annealer sweeps per restart", "sweeps"))
+    parser.add_argument("--alpha", type=float,
+                        help=_help("CVaR tail fraction for the vqe solver", "alpha"))
+    parser.add_argument("--shots", type=int,
+                        help=_help("vqe measurement shots per evaluation; 0 = exact", "shots"))
+    parser.add_argument("--reps", type=int,
+                        help=_help("ansatz entangling repetitions, 1 or 2", "reps"))
+    parser.add_argument("--top-k", type=int,
+                        help=_help("post-selection candidate count", "top_k"))
+    parser.add_argument("--max-evals", type=int,
+                        help=_help("vqe objective evaluation budget", "max_evals"))
     parser.add_argument("--fix-first-turn", action=argparse.BooleanOptionalAction,
-                        default=argparse.SUPPRESS,
-                        help="fix the first turn to (1,0,0) (default on)")
+                        help=_help("fix the first turn to (1,0,0)", "fix_first_turn"))
     parser.add_argument("--allow-steric", action=argparse.BooleanOptionalAction,
-                        default=argparse.SUPPRESS,
-                        help="treat body-diagonal turns as geometrically valid (default on)")
+                        help=_help("treat body-diagonal turns as geometrically valid",
+                                   "allow_steric"))
     for i in range(5):
-        parser.add_argument(f"--lambda{i}", type=float, default=_UNSET,
+        parser.add_argument(f"--lambda{i}", type=float,
                             help=f"override penalty weight {i}")
-    parser.add_argument("--lambda3-hint", type=float, default=_UNSET,
-                        help="crossing reward weight used by calibration (default 0.5)")
+    parser.add_argument("--lambda3-hint", type=float,
+                        help=_help("crossing reward weight used by calibration",
+                                   "lambda3_hint"))
     parser.add_argument("--weights-file",
                         help="CSV of j,k,weight rows overriding H-pair interaction strengths")
-    parser.add_argument("--seed", type=int, default=_UNSET,
-                        help="master seed; every random choice derives from it (default 0)")
-    parser.add_argument("--out-dir", default=_UNSET,
-                        help="artifact directory (default hpfold_out)")
-    parser.add_argument("--format", default=_UNSET,
-                        help="comma list from json,xyz,csv (default all)")
-    parser.add_argument("--export-qubo", action="store_true", default=_UNSET,
+    parser.add_argument("--seed", type=int,
+                        help=_help("master seed; every random choice derives from it", "seed"))
+    parser.add_argument("--out-dir", help=_help("artifact directory", "out_dir"))
+    parser.add_argument("--format", help=_help("comma list from json,xyz,csv", "formats"))
+    parser.add_argument("--export-qubo", action="store_true",
                         help="also write the winning encoding as qubo.json")
     parser.add_argument("--resume-params",
                         help="JSON file with a flat parameter array to warm-start vqe")
     parser.add_argument("--config",
                         help="JSON config file (keys = flag names); explicit flags win")
-    parser.add_argument("--workers", type=int, default=_UNSET,
-                        help="parallel draw workers (default 1)")
+    parser.add_argument("--workers", type=int, help=_help("parallel draw workers", "workers"))
     return parser
 
 
@@ -93,47 +101,22 @@ def _load_weights(path: str) -> dict[tuple[int, int], float]:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Start from defaults, lay the config file over them, then explicit flags."""
-    merged = {
-        "seq": None,
-        "seq_file": None,
-        "solver": "anneal",
-        "draws": 50,
-        "restarts": 20,
-        "sweeps": 2000,
-        "alpha": 0.05,
-        "shots": 4000,
-        "reps": 1,
-        "top_k": 4000,
-        "max_evals": 500,
-        "fix_first_turn": True,
-        "allow_steric": True,
-        "lambda0": None,
-        "lambda1": None,
-        "lambda2": None,
-        "lambda3": None,
-        "lambda4": None,
-        "lambda3_hint": 0.5,
-        "weights_file": None,
-        "seed": 0,
-        "out_dir": "hpfold_out",
-        "format": "json,xyz,csv",
-        "export_qubo": False,
-        "resume_params": None,
-        "workers": 1,
-    }
-    if args.config:
+    """The explicit settings: the config file's, then the flags laid over them.
+
+    Anything left unset takes its ``RunConfig`` default.
+    """
+    merged: dict = {}
+    if getattr(args, "config", None):
         with open(args.config) as fh:
             file_conf = json.load(fh)
+        known = {action.dest for action in build_parser()._actions} - {"help", "config"}
         for key, value in file_conf.items():
             norm = key.replace("-", "_")
-            if norm not in merged:
+            if norm not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[norm] = value
-    for key in merged:
-        value = getattr(args, key, _UNSET)
-        if value is not _UNSET and value is not None:
-            merged[key] = value
+            if value is not None:
+                merged[norm] = value
+    merged.update(vars(args))
     return merged
 
 
@@ -148,11 +131,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     try:
-        if conf["seq"] and conf["seq_file"]:
+        if conf.get("seq") and conf.get("seq_file"):
             raise ValueError("give either a sequence or a sequence file, not both")
-        if conf["seq"]:
+        if conf.get("seq"):
             sequence = conf["seq"]
-        elif conf["seq_file"]:
+        elif conf.get("seq_file"):
             try:
                 with open(conf["seq_file"]) as fh:
                     sequence = fh.read()
@@ -162,52 +145,34 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             raise ValueError("a sequence is required (--seq or --seq-file)")
 
-        weights = None
-        if conf["weights_file"]:
+        settings = {k: v for k, v in conf.items() if k in _DEFAULTS}
+        if conf.get("weights_file"):
             try:
-                weights = _load_weights(conf["weights_file"])
+                settings["weights"] = _load_weights(conf["weights_file"])
             except OSError as exc:
                 print(f"i/o error: {exc}", file=sys.stderr)
                 return 3
 
-        resume = None
-        if conf["resume_params"]:
+        resume_path = settings.pop("resume_params", None)  # a file, not the values
+        if resume_path:
             try:
-                with open(conf["resume_params"]) as fh:
-                    resume = tuple(float(v) for v in json.load(fh))
+                with open(resume_path) as fh:
+                    settings["resume_params"] = tuple(float(v) for v in json.load(fh))
             except OSError as exc:
                 print(f"i/o error: {exc}", file=sys.stderr)
                 return 3
 
         overrides = {
-            f"lambda{i}": conf[f"lambda{i}"]
-            for i in range(5)
-            if conf[f"lambda{i}"] is not None
+            f"lambda{i}": conf[f"lambda{i}"] for i in range(5) if f"lambda{i}" in conf
         }
-        cfg = RunConfig(
-            sequence=sequence,
-            solver=conf["solver"],
-            draws=conf["draws"],
-            restarts=conf["restarts"],
-            sweeps=conf["sweeps"],
-            alpha=conf["alpha"],
-            shots=conf["shots"],
-            reps=conf["reps"],
-            top_k=conf["top_k"],
-            max_evals=conf["max_evals"],
-            fix_first_turn=conf["fix_first_turn"],
-            allow_steric=conf["allow_steric"],
-            lambda_overrides=overrides or None,
-            lambda3_hint=conf["lambda3_hint"],
-            weights=weights,
-            seed=conf["seed"],
-            out_dir=conf["out_dir"],
-            formats=tuple(s.strip() for s in conf["format"].split(",") if s.strip()),
-            export_qubo=bool(conf["export_qubo"]),
-            resume_params=resume,
-            workers=conf["workers"],
-        )
-    except ValueError as exc:
+        if overrides:
+            settings["lambda_overrides"] = overrides
+        if "format" in conf:
+            settings["formats"] = tuple(
+                s.strip() for s in conf["format"].split(",") if s.strip()
+            )
+        cfg = RunConfig(sequence=sequence, **settings)
+    except (TypeError, ValueError) as exc:  # TypeError: a mistyped config-file value
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

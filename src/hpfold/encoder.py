@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
@@ -380,19 +380,44 @@ def build_pair_exclusion(layout: VariableLayout) -> BinaryPolynomial:
 
 @dataclass(frozen=True)
 class QuboProblem:
-    """A degree-2 polynomial plus everything needed to reproduce it."""
+    """A degree-2 polynomial plus everything needed to reproduce it.
+
+    The dense form is built once, on construction, and is read-only.
+    """
 
     polynomial: BinaryPolynomial
     layout: VariableLayout
     penalties: PenaltyConfig
     axis_draw: AxisDraw
     rng_seed: int = 0
+    _dense: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.polynomial.degree() > 2:
             raise ValueError(
                 f"QUBO polynomial must have degree <= 2, got {self.polynomial.degree()}"
             )
+        n = self.n_vars
+        lin = np.zeros(n)
+        quad = np.zeros((n, n))
+        const = 0.0
+        for key, coeff in self.polynomial.terms.items():
+            if not key:
+                const = coeff
+            elif len(key) == 1:
+                (i,) = key
+                lin[i] = coeff
+            else:
+                i, j = sorted(key)
+                quad[i, j] = quad[j, i] = coeff
+        lin.flags.writeable = quad.flags.writeable = False
+        object.__setattr__(self, "_dense", (const, lin, quad))
+
+    def __reduce__(self):
+        # Rebuild on unpickling, so the dense form stays read-only.
+        return QuboProblem, (
+            self.polynomial, self.layout, self.penalties, self.axis_draw, self.rng_seed
+        )
 
     @property
     def n_vars(self) -> int:
@@ -405,21 +430,7 @@ class QuboProblem:
 
     def to_dense(self) -> tuple[float, np.ndarray, np.ndarray]:
         """(constant, linear vector, symmetric quadratic matrix with zero diagonal)."""
-        n = self.n_vars
-        lin = np.zeros(n)
-        quad = np.zeros((n, n))
-        const = 0.0
-        for key, coeff in self.polynomial.terms.items():
-            if not key:
-                const = coeff
-            elif len(key) == 1:
-                (i,) = key
-                lin[i] += coeff
-            else:
-                i, j = sorted(key)
-                quad[i, j] += coeff
-                quad[j, i] += coeff
-        return const, lin, quad
+        return self._dense
 
 
 def assemble(
@@ -448,25 +459,14 @@ def assemble(
 
 def qubo_to_json(q: QuboProblem, sequence: str | None = None) -> str:
     """Serialize a problem with enough metadata to reload or feed other tools."""
-    linear = []
-    quadratic = []
-    const = 0.0
-    for key, coeff in q.polynomial.terms.items():
-        if not key:
-            const = coeff
-        elif len(key) == 1:
-            (i,) = key
-            linear.append([i, coeff])
-        else:
-            i, j = sorted(key)
-            quadratic.append([i, j, coeff])
-    linear.sort()
-    quadratic.sort()
+    const, lin, quad = q.to_dense()
     doc = {
         "variables": q.n_vars,
         "constant": const,
-        "linear": linear,
-        "quadratic": quadratic,
+        "linear": [[int(i), float(lin[i])] for i in np.flatnonzero(lin)],
+        "quadratic": [
+            [int(i), int(j), float(quad[i, j])] for i, j in zip(*np.nonzero(np.triu(quad)))
+        ],
         "metadata": {
             "sequence": sequence,
             "n_beads": q.layout.n_beads,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -88,33 +88,26 @@ def ising_energy(op: IsingOperator, bits: Sequence[int]) -> float:
     return total
 
 
-def ising_energies(op: IsingOperator, bits_matrix: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`ising_energy` over rows of a 0/1 matrix."""
-    z = 1.0 - 2.0 * np.asarray(bits_matrix, dtype=float)
-    out = np.full(z.shape[0], op.constant)
-    for i, coeff in op.h.items():
-        out += coeff * z[:, i]
-    for (a, b), coeff in op.j.items():
-        out += coeff * z[:, a] * z[:, b]
-    return out
+# States per enumeration chunk; bounds the working memory of a 2^n scan.
+CHUNK = 1 << 20
 
 
-def basis_energies(op: IsingOperator, chunk: int = 1 << 20) -> np.ndarray:
-    """Energies of all 2^n computational basis states.
+def basis_energy_chunks(op: IsingOperator) -> Iterator[tuple[int, np.ndarray]]:
+    """Energies of all 2^n computational basis states, as (start, energies) chunks.
 
-    State s has bit i equal to (s >> i) & 1. Memory-bounded by chunking.
+    State s has bit i equal to (s >> i) & 1; a chunk holds the energies of
+    states start, start + 1, ... in order.
     """
     if op.n > 26:
         raise ValueError(f"2^{op.n} basis states exceed the enumeration budget")
     size = 1 << op.n
-    out = np.empty(size)
-    for start in range(0, size, chunk):
-        idx = np.arange(start, min(start + chunk, size), dtype=np.int64)
+    for start in range(0, size, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, size), dtype=np.int64)
         z_cols = {}
 
         def z_of(i: int) -> np.ndarray:
             if i not in z_cols:
-                z_cols[i] = 1.0 - 2.0 * ((idx >> i) & 1)
+                z_cols[i] = np.where(idx & (1 << i), -1.0, 1.0)
             return z_cols[i]
 
         part = np.full(idx.shape, op.constant)
@@ -122,8 +115,13 @@ def basis_energies(op: IsingOperator, chunk: int = 1 << 20) -> np.ndarray:
             part += coeff * z_of(i)
         for (a, b), coeff in op.j.items():
             part += coeff * z_of(a) * z_of(b)
-        out[start:start + idx.shape[0]] = part
-    return out
+        z_cols.clear()  # free the columns before the consumer works on the chunk
+        yield start, part
+
+
+def basis_energies(op: IsingOperator) -> np.ndarray:
+    """Energies of all 2^n computational basis states, indexed by state."""
+    return np.concatenate([part for _, part in basis_energy_chunks(op)])
 
 
 @dataclass(frozen=True)

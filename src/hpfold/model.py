@@ -18,7 +18,6 @@ All types are immutable after construction and every function here is pure.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -380,35 +379,3 @@ def conformation_to_xyz(conf: Conformation, seq: HpSequence) -> str:
     ]
     return "\n".join(lines) + "\n"
 
-
-def conformation_report(
-    seq: HpSequence,
-    turns: Sequence[Turn],
-    allow_steric: bool = True,
-    pair_exclusion: Sequence[tuple[int, str]] = (),
-) -> dict:
-    """JSON-ready record of one conformation with its validation outcome."""
-    report = validate(turns, seq, allow_steric, pair_exclusion)
-    coords = turns_to_coordinates(turns)
-    return {
-        "sequence": str(seq),
-        "turns": [list(t) for t in turns],
-        "coords": [list(c) for c in coords],
-        "contacts": count_contacts(coords, seq),
-        "feasible": report.feasible,
-        "violations": report.to_dict(),
-    }
-
-
-def load_conformation_report(text: str) -> dict:
-    """Parse and re-validate a conformation record produced by this module."""
-    doc = json.loads(text)
-    seq = parse_sequence(doc["sequence"])
-    turns = tuple(tuple(t) for t in doc["turns"])
-    coords = turns_to_coordinates(turns)
-    if [list(c) for c in coords] != doc["coords"]:
-        raise ValueError("stored coordinates disagree with stored turns")
-    report = validate(turns, seq)
-    if doc["feasible"] and not report.feasible:
-        raise ValueError("stored feasibility flag fails re-validation")
-    return doc

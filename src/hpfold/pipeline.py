@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import model
+from .ansatz import QUBIT_BUDGET
 from .encoder import (
     PenaltyConfig,
     QuboProblem,
@@ -31,6 +32,7 @@ from .encoder import (
 )
 from .ising import qubo_to_ising
 from .solvers import (
+    EXHAUSTIVE_VARIABLE_BUDGET,
     AnsatzSpec,
     SolveResult,
     VqeSettings,
@@ -78,8 +80,15 @@ class RunConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; choose from {SOLVERS}")
-        if self.draws < 1:
-            raise ValueError("draws must be >= 1")
+        for name in ("draws", "restarts", "sweeps", "top_k", "max_evals", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.shots < 0:
+            raise ValueError("shots must be >= 0 (0 = exact)")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if self.reps not in (1, 2):
+            raise ValueError(f"reps must be 1 or 2, got {self.reps}")
         unknown = set(self.formats) - set(FORMATS)
         if unknown:
             raise ValueError(f"unknown output formats {sorted(unknown)}")
@@ -131,7 +140,7 @@ def _solve_one_draw(
         )
         solved = anneal(q, sched)
     elif cfg.solver == "exhaustive":
-        solved = exhaustive(q, keep=max(cfg.top_k, 1))
+        solved = exhaustive(q, keep=cfg.top_k)
     else:
         op = qubo_to_ising(q)
         spec = AnsatzSpec(n_qubits=op.n, reps=cfg.reps)
@@ -164,6 +173,11 @@ def solve_sequence(cfg: RunConfig) -> PipelineResult:
     """Run the draw ensemble and pick the overall best conformation."""
     seq = model.parse_sequence(cfg.sequence, weights=cfg.weights)
     layout = VariableLayout(n_beads=len(seq), first_turn_fixed=cfg.fix_first_turn)
+    budget = {"exhaustive": EXHAUSTIVE_VARIABLE_BUDGET, "vqe": QUBIT_BUDGET}.get(cfg.solver)
+    if budget is not None and layout.n_vars > budget:
+        raise ValueError(
+            f"{layout.n_vars} variables exceed the {cfg.solver} budget of {budget}"
+        )
     penalties = calibrate_penalties(seq, cfg.lambda3_hint, cfg.lambda_overrides)
 
     tasks = [(seq, layout, penalties, cfg, d) for d in range(cfg.draws)]

@@ -18,9 +18,19 @@ from scipy.optimize import minimize
 from . import model
 from .ansatz import AnsatzSpec, probabilities, random_initial_params, simulate
 from .encoder import QuboProblem
-from .ising import IsingOperator, SampleSet, basis_energies, cvar, ising_energy
+from .ising import (
+    IsingOperator,
+    SampleSet,
+    basis_energies,
+    basis_energy_chunks,
+    cvar,
+    ising_energy,
+    qubo_to_ising,
+)
 
 EXHAUSTIVE_VARIABLE_BUDGET = 24
+# A simplex restart perturbs the best parameters uniformly within +-RESTART_SCALE * pi.
+RESTART_SCALE = 0.3
 
 
 @dataclass(frozen=True)
@@ -129,7 +139,7 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep_samples: int = 4096) -> S
         trace.append((sweep, float(energy.min()), float(best_energy.min())))
 
     all_states = np.concatenate(
-        [snap_states.reshape(-1, n), best_x.astype(np.uint8)]
+        [snap_states.reshape(sweeps * r, n), best_x.astype(np.uint8)]
     )
     all_energy = np.concatenate([snap_energy.reshape(-1), best_energy])
     all_sweeps = np.concatenate([np.repeat(np.arange(sweeps), r), best_sweep])
@@ -168,62 +178,41 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep_samples: int = 4096) -> S
 
 
 def exhaustive(q: QuboProblem, keep: int = 4096) -> SolveResult:
-    """Exact scan of all 2^n assignments; retains the ``keep`` lowest states."""
+    """Exact scan of all 2^n assignments; retains the ``keep`` lowest states.
+
+    States are ranked by energy, then by state index (bit i of the index is
+    variable i), so the kept set does not depend on how the scan is chunked.
+    """
     n = q.n_vars
     if n > EXHAUSTIVE_VARIABLE_BUDGET:
         raise ValueError(
             f"{n} variables exceed the exhaustive budget of {EXHAUSTIVE_VARIABLE_BUDGET}"
         )
-    const, lin, quad = q.to_dense()
-    pairs = [(i, j, quad[i, j]) for i in range(n) for j in range(i + 1, n) if quad[i, j]]
-
-    size = 1 << n
-    chunk = 1 << 20
     top_idx = np.empty(0, dtype=np.int64)
     top_energy = np.empty(0)
-    for start in range(0, size, chunk):
-        idx = np.arange(start, min(start + chunk, size), dtype=np.int64)
-        cols = {}
-
-        def bit(i: int) -> np.ndarray:
-            if i not in cols:
-                cols[i] = ((idx >> i) & 1).astype(float)
-            return cols[i]
-
-        energy = np.full(idx.shape, const)
-        for i in range(n):
-            if lin[i]:
-                energy += lin[i] * bit(i)
-        for i, j, coeff in pairs:
-            energy += coeff * bit(i) * bit(j)
-
-        merged_idx = np.concatenate([top_idx, idx])
-        merged_energy = np.concatenate([top_energy, energy])
-        if merged_idx.size > keep:
-            sel = np.argpartition(merged_energy, keep - 1)[:keep]
-        else:
-            sel = np.arange(merged_idx.size)
-        top_idx = merged_idx[sel]
-        top_energy = merged_energy[sel]
+    for start, energy in basis_energy_chunks(qubo_to_ising(q)):
+        # states stay in ascending order, so the lowest state wins a tie
+        top_idx = np.concatenate([top_idx, np.arange(start, start + energy.size)])
+        top_energy = np.concatenate([top_energy, energy])
+        if top_idx.size > keep:
+            kth = np.partition(top_energy, keep - 1)[keep - 1]
+            kept = top_energy < kth
+            kept[np.flatnonzero(top_energy == kth)[: keep - np.count_nonzero(kept)]] = True
+            top_idx, top_energy = top_idx[kept], top_energy[kept]
 
     order = np.lexsort((top_idx, top_energy))
     top_idx = top_idx[order]
     top_energy = top_energy[order]
 
-    def bits_of(state: int) -> tuple[int, ...]:
-        return tuple((state >> i) & 1 for i in range(n))
-
-    entries = tuple(
-        (bits_of(int(s)), 1, float(e)) for s, e in zip(top_idx, top_energy)
-    )
+    bits = ((top_idx[:, None] >> np.arange(n)) & 1).tolist()
+    entries = tuple((tuple(b), 1, e) for b, e in zip(bits, top_energy.tolist()))
     samples = SampleSet(entries=entries, shots=len(entries))
-    best_bits = bits_of(int(top_idx[0]))
     return SolveResult(
-        best_bits=best_bits,
+        best_bits=entries[0][0],
         best_value=float(top_energy[0]),
         samples=samples,
         trace=((0, float(top_energy[0]), float(top_energy[0])),),
-        provenance={"solver": "exhaustive", "states_scanned": size, "kept": len(entries)},
+        provenance={"solver": "exhaustive", "states_scanned": 1 << n, "kept": len(entries)},
     )
 
 
@@ -234,7 +223,6 @@ class VqeSettings:
     max_evals: int = 500
     seed: int = 0
     initial_params: Optional[tuple[float, ...]] = None
-    restart_scale: float = 0.3
 
 
 def vqe_statevector(
@@ -290,13 +278,16 @@ def vqe_statevector(
         budget = settings.max_evals - state["evals"]
         if budget < spec.n_params + 2:  # no room for a full simplex
             break
+        if spec.n_params == 0:  # nothing to optimize; one evaluation fixes the value
+            objective(start)
+            break
         minimize(
             objective,
             start,
             method="Nelder-Mead",
             options={"maxfev": budget, "xatol": 1e-4, "fatol": 1e-6},
         )
-        start = state["best_params"] + settings.restart_scale * rng.uniform(
+        start = state["best_params"] + RESTART_SCALE * rng.uniform(
             -np.pi, np.pi, size=spec.n_params
         )
 

@@ -270,6 +270,7 @@ def test_criterion_8_vqe_desk_scale():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_1_table_floor_reproduction():
     t0 = time.time()
     outcomes = {}
@@ -360,6 +361,7 @@ def test_criterion_10_order_rule():
     assert fraction_order_break(reversed_order) == ("PPHPPHPPHP", "HPPHPPHPHH")
 
 
+@pytest.mark.slow
 def test_criterion_10_hydrophobicity_scaling():
     """Annealing effort grows with hydrophobic content.
 

@@ -9,7 +9,6 @@ from hpfold.ising import (
     SampleSet,
     basis_energies,
     cvar,
-    ising_energies,
     ising_energy,
     ising_from_json,
     ising_to_json,
@@ -102,15 +101,6 @@ class TestIsingEnergy:
         op = qubo_to_ising(x(0), n_vars=1)
         with pytest.raises(ValueError):
             ising_energy(op, (0, 1))
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(24)
-        poly = random_quadratic(rng, 6)
-        op = qubo_to_ising(poly, n_vars=6)
-        mat = rng.integers(0, 2, size=(40, 6))
-        vec = ising_energies(op, mat)
-        for row, e in zip(mat, vec):
-            assert e == pytest.approx(ising_energy(op, tuple(row)), abs=1e-12)
 
     def test_basis_energies_order(self):
         rng = np.random.default_rng(25)

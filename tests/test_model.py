@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hpfold.encoder import VariableLayout
 from hpfold.model import (
     FeasibilityReport,
     HpSequence,
-    conformation_report,
     conformation_to_xyz,
     count_contacts,
     decode_bitstring,
@@ -17,7 +15,6 @@ from hpfold.model import (
     enumerate_optimal,
     hydrophobic_pairs,
     lattice_moves,
-    load_conformation_report,
     max_contacts,
     pair_exclusions,
     parse_sequence,
@@ -381,17 +378,3 @@ class TestExports:
         assert lines[0] == "H 0 0 0"
         assert lines[2] == "H 1 1 0"
 
-    def test_report_round_trip(self):
-        seq = parse_sequence("HPH")
-        doc = conformation_report(seq, ((1, 0, 0), (0, 1, 0)))
-        assert doc["feasible"] is True
-        assert doc["contacts"] == 1
-        loaded = load_conformation_report(json.dumps(doc))
-        assert loaded == doc
-
-    def test_report_tamper_detection(self):
-        seq = parse_sequence("HPH")
-        doc = conformation_report(seq, ((1, 0, 0), (0, 1, 0)))
-        doc["coords"][2] = [9, 9, 9]
-        with pytest.raises(ValueError):
-            load_conformation_report(json.dumps(doc))

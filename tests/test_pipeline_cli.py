@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 import hpfold as hp
+from hpfold import cli
 from hpfold.cli import main
 from hpfold.pipeline import RunConfig, load_result, result_document, solve_sequence
 
@@ -80,6 +83,17 @@ class TestPipeline:
         doc["contacts"] = 99
         Path(written["result.json"]).write_text(json.dumps(doc))
         with pytest.raises(ValueError):
+            load_result(written["result.json"])
+
+    def test_revalidation_rejects_coordinate_tampering(self, tmp_path):
+        cfg = RunConfig(
+            sequence="HPH", solver="exhaustive", draws=1, seed=2, out_dir=str(tmp_path)
+        )
+        _, _, written = hp.run_pipeline(cfg)
+        doc = json.loads(Path(written["result.json"]).read_text())
+        doc["coords"][2] = [9, 9, 9]
+        Path(written["result.json"]).write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="coordinates"):
             load_result(written["result.json"])
 
     def test_byte_identical_rerun(self, tmp_path):
@@ -241,6 +255,12 @@ class TestCli:
         conf.write_text(json.dumps({"seq": "HPH", "bogus": 1}))
         assert main(["--config", str(conf)]) == 2
 
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"seq": "HPH", "alpha": "small"}))
+        assert main(["--config", str(conf)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_weights_file(self, tmp_path):
         wfile = tmp_path / "w.csv"
         wfile.write_text("# j,k,weight\n1,3,2.0\n")
@@ -327,3 +347,67 @@ class TestCli:
         assert (tmp_path / "result.json").exists()
         assert not (tmp_path / "conformation.xyz").exists()
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_defaults_come_from_run_config(self, monkeypatch):
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg)
+            raise hp.pipeline.PipelineIOError("stop before solving")
+
+        monkeypatch.setattr(cli, "run_pipeline", fake_run)
+        assert main(["--seq", "HPH"]) == 3
+        assert seen == [RunConfig(sequence="HPH")]
+
+    def test_help_defaults_match_run_config(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        checked = 0
+        for action in cli.build_parser()._actions:
+            found = re.search(r"\(default (.+)\)$", action.help or "")
+            if not found:
+                continue
+            value = defaults["formats" if action.dest == "format" else action.dest]
+            if isinstance(value, bool):
+                value = "on" if value else "off"
+            elif isinstance(value, tuple):
+                value = ",".join(value)
+            assert found.group(1) == str(value), action.dest
+            checked += 1
+        assert checked == 16
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "0"],
+            ["--alpha", "2"],
+            ["--alpha", "0"],
+            ["--top-k", "0"],
+            ["--shots", "-1"],
+            ["--reps", "3"],
+            ["--restarts", "0"],
+            ["--sweeps", "0"],
+            ["--max-evals", "0"],
+            ["--draws", "0"],
+            ["--seq", "HPHPHPH", "--solver", "exhaustive"],  # 30 variables
+            ["--seq", "HPHPHP", "--solver", "vqe"],  # 24 qubits
+        ],
+    )
+    def test_bad_config_exits_before_any_draw(self, flags, tmp_path, monkeypatch, capsys):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(hp.pipeline, "draw_axes", no_draws)
+        argv = ["--seq", "HPPH", "--out-dir", str(tmp_path / "out")] + flags
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:sequence has no non-bonded H pairs")
+    @pytest.mark.parametrize("solver", ["anneal", "exhaustive", "vqe"])
+    def test_two_bead_chain_has_the_trivial_fold(self, solver, tmp_path, capsys):
+        argv = ["--seq", "HP", "--solver", solver, "--draws", "2", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "contacts 0 of max 0 (feasible)" in capsys.readouterr().out
+        doc = load_result(str(tmp_path / "result.json"))
+        assert doc["bitstring"] == ""
+        assert doc["coords"] == [[0, 0, 0], [1, 0, 0]]

@@ -24,7 +24,6 @@ class TestAnsatz:
             AnsatzSpec(n_qubits=2, reps=3)
         with pytest.raises(ValueError):
             AnsatzSpec(n_qubits=2, entangler="star")
-        AnsatzSpec(n_qubits=23, qubit_budget=24)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(30)
