@@ -109,6 +109,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_conf = json.load(fh)
+        if not isinstance(file_conf, dict):
+            raise ValueError("the config file must hold a JSON object")
         known = {action.dest for action in build_parser()._actions} - {"help", "config"}
         for key, value in file_conf.items():
             norm = key.replace("-", "_")
@@ -126,41 +128,24 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         conf = _merge_config(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if conf.get("seq") and conf.get("seq_file"):
             raise ValueError("give either a sequence or a sequence file, not both")
         if conf.get("seq"):
             sequence = conf["seq"]
         elif conf.get("seq_file"):
-            try:
-                with open(conf["seq_file"]) as fh:
-                    sequence = fh.read()
-            except OSError as exc:
-                print(f"i/o error: {exc}", file=sys.stderr)
-                return 3
+            with open(conf["seq_file"]) as fh:
+                sequence = fh.read()
         else:
             raise ValueError("a sequence is required (--seq or --seq-file)")
 
         settings = {k: v for k, v in conf.items() if k in _DEFAULTS}
         if conf.get("weights_file"):
-            try:
-                settings["weights"] = _load_weights(conf["weights_file"])
-            except OSError as exc:
-                print(f"i/o error: {exc}", file=sys.stderr)
-                return 3
+            settings["weights"] = _load_weights(conf["weights_file"])
 
         resume_path = settings.pop("resume_params", None)  # a file, not the values
         if resume_path:
-            try:
-                with open(resume_path) as fh:
-                    settings["resume_params"] = tuple(float(v) for v in json.load(fh))
-            except OSError as exc:
-                print(f"i/o error: {exc}", file=sys.stderr)
-                return 3
+            with open(resume_path) as fh:
+                settings["resume_params"] = tuple(float(v) for v in json.load(fh))
 
         overrides = {
             f"lambda{i}": conf[f"lambda{i}"] for i in range(5) if f"lambda{i}" in conf
@@ -172,7 +157,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 s.strip() for s in conf["format"].split(",") if s.strip()
             )
         cfg = RunConfig(sequence=sequence, **settings)
-    except (TypeError, ValueError) as exc:  # TypeError: a mistyped config-file value
+    except OSError as exc:  # a config, sequence, weights or parameter file
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except (TypeError, ValueError) as exc:  # also malformed JSON or a mistyped value
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -423,10 +423,26 @@ class QuboProblem:
     def n_vars(self) -> int:
         return self.layout.n_vars
 
+    def energies(self, bits) -> np.ndarray:
+        """Energies of the rows of a (k, n) 0/1 matrix.
+
+        The sum runs term by term over whole columns, so a row's energy never
+        depends on the rest of the batch, as it could under a matrix product.
+        """
+        bits = np.asarray(bits)
+        if bits.ndim != 2 or bits.shape[1] != self.n_vars:
+            raise ValueError(f"expected a (k, {self.n_vars}) bit matrix, got {bits.shape}")
+        const, lin, quad = self._dense
+        cols = np.ascontiguousarray(bits.T, dtype=np.uint8)  # one row per variable
+        total = np.full(bits.shape[0], const)
+        for i in np.flatnonzero(lin):
+            total += lin[i] * cols[i]
+        for i, j in zip(*np.nonzero(np.triu(quad))):
+            total += quad[i, j] * (cols[i] & cols[j])
+        return total
+
     def evaluate(self, bits) -> float:
-        if len(bits) != self.n_vars:
-            raise ValueError(f"expected {self.n_vars} bits, got {len(bits)}")
-        return self.polynomial.evaluate(bits)
+        return float(self.energies([bits])[0])
 
     def to_dense(self) -> tuple[float, np.ndarray, np.ndarray]:
         """(constant, linear vector, symmetric quadratic matrix with zero diagonal)."""
@@ -478,7 +494,7 @@ def qubo_to_json(q: QuboProblem, sequence: str | None = None) -> str:
             "seed": q.rng_seed,
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def qubo_from_json(text: str) -> QuboProblem:

@@ -1,8 +1,10 @@
-"""Diagonal spin-operator form of a quadratic binary problem, plus CVaR.
+"""Basis-state energies of a quadratic binary problem, samples and CVaR.
 
-Spin convention: bit 0 maps to z = +1 and bit 1 to z = -1, i.e.
-x = (1 - z) / 2. Every computational basis state is an eigenstate, so a
-bitstring's energy is a plain parity sum over the stored coefficients.
+The 2^n enumerator reads every energy from ``QuboProblem.energies``. The
+diagonal spin-operator form is kept for export and as a test oracle. Spin
+convention: bit 0 maps to z = +1 and bit 1 to z = -1, i.e. x = (1 - z) / 2.
+Every computational basis state is an eigenstate, so a bitstring's energy is
+a plain parity sum over the stored coefficients.
 """
 
 from __future__ import annotations
@@ -89,39 +91,27 @@ def ising_energy(op: IsingOperator, bits: Sequence[int]) -> float:
 
 
 # States per enumeration chunk; bounds the working memory of a 2^n scan.
-CHUNK = 1 << 20
+CHUNK = 1 << 16
 
 
-def basis_energy_chunks(op: IsingOperator) -> Iterator[tuple[int, np.ndarray]]:
+def basis_energy_chunks(q: QuboProblem) -> Iterator[tuple[int, np.ndarray]]:
     """Energies of all 2^n computational basis states, as (start, energies) chunks.
 
     State s has bit i equal to (s >> i) & 1; a chunk holds the energies of
-    states start, start + 1, ... in order.
+    states start, start + 1, ... in order, each computed by ``q.energies``.
     """
-    if op.n > 26:
-        raise ValueError(f"2^{op.n} basis states exceed the enumeration budget")
-    size = 1 << op.n
+    n = q.n_vars
+    if n > 26:
+        raise ValueError(f"2^{n} basis states exceed the enumeration budget")
+    size = 1 << n
     for start in range(0, size, CHUNK):
         idx = np.arange(start, min(start + CHUNK, size), dtype=np.int64)
-        z_cols = {}
-
-        def z_of(i: int) -> np.ndarray:
-            if i not in z_cols:
-                z_cols[i] = np.where(idx & (1 << i), -1.0, 1.0)
-            return z_cols[i]
-
-        part = np.full(idx.shape, op.constant)
-        for i, coeff in op.h.items():
-            part += coeff * z_of(i)
-        for (a, b), coeff in op.j.items():
-            part += coeff * z_of(a) * z_of(b)
-        z_cols.clear()  # free the columns before the consumer works on the chunk
-        yield start, part
+        yield start, q.energies((idx[:, None] >> np.arange(n)) & 1)
 
 
-def basis_energies(op: IsingOperator) -> np.ndarray:
+def basis_energies(q: QuboProblem) -> np.ndarray:
     """Energies of all 2^n computational basis states, indexed by state."""
-    return np.concatenate([part for _, part in basis_energy_chunks(op)])
+    return np.concatenate([part for _, part in basis_energy_chunks(q)])
 
 
 @dataclass(frozen=True)
@@ -140,19 +130,8 @@ class SampleSet:
         if total != self.shots:
             raise ValueError(f"multiplicities sum to {total}, not shots={self.shots}")
 
-    @classmethod
-    def from_counts(cls, counts: Mapping[tuple[int, ...], int], energy_of) -> "SampleSet":
-        entries = tuple(
-            (bits, count, float(energy_of(bits)))
-            for bits, count in sorted(counts.items())
-        )
-        return cls(entries=entries, shots=sum(counts.values()))
-
     def energies(self) -> np.ndarray:
         return np.array([e for _, _, e in self.entries])
-
-    def counts(self) -> np.ndarray:
-        return np.array([c for _, c, _ in self.entries])
 
     def min_energy(self) -> float:
         return float(min(e for _, _, e in self.entries))
@@ -165,6 +144,7 @@ class SampleSet:
             ],
             indent=2,
             sort_keys=True,
+            allow_nan=False,
         )
 
 

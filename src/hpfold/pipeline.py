@@ -30,13 +30,14 @@ from .encoder import (
     draw_axes,
     qubo_to_json,
 )
-from .ising import qubo_to_ising
+from .ising import basis_energies
 from .solvers import (
     EXHAUSTIVE_VARIABLE_BUDGET,
     AnsatzSpec,
     SolveResult,
     VqeSettings,
     anneal,
+    check_vqe_budget,
     default_schedule,
     exhaustive,
     postselect,
@@ -142,15 +143,14 @@ def _solve_one_draw(
     elif cfg.solver == "exhaustive":
         solved = exhaustive(q, keep=cfg.top_k)
     else:
-        op = qubo_to_ising(q)
-        spec = AnsatzSpec(n_qubits=op.n, reps=cfg.reps)
+        spec = AnsatzSpec(n_qubits=q.n_vars, reps=cfg.reps)
         settings = VqeSettings(
             max_evals=cfg.max_evals,
             seed=solver_seed,
             initial_params=cfg.resume_params,
         )
         solved = vqe_statevector(
-            op, spec, settings, alpha=cfg.alpha, shots=cfg.shots
+            basis_energies(q), spec, settings, alpha=cfg.alpha, shots=cfg.shots
         )
 
     selected = postselect(
@@ -178,6 +178,8 @@ def solve_sequence(cfg: RunConfig) -> PipelineResult:
         raise ValueError(
             f"{layout.n_vars} variables exceed the {cfg.solver} budget of {budget}"
         )
+    if cfg.solver == "vqe":
+        check_vqe_budget(AnsatzSpec(n_qubits=layout.n_vars, reps=cfg.reps), cfg.max_evals)
     penalties = calibrate_penalties(seq, cfg.lambda3_hint, cfg.lambda_overrides)
 
     tasks = [(seq, layout, penalties, cfg, d) for d in range(cfg.draws)]
@@ -262,7 +264,10 @@ def emit(result: PipelineResult, out_dir: Optional[str] = None) -> dict[str, str
 
     sel = result.best.selected
     if "json" in cfg.formats:
-        write("result.json", json.dumps(result_document(result), indent=2, sort_keys=True))
+        write(
+            "result.json",
+            json.dumps(result_document(result), indent=2, sort_keys=True, allow_nan=False),
+        )
         write("samples.json", sel.samples.to_json())
     if "xyz" in cfg.formats and sel.conformation:
         write("conformation.xyz", model.conformation_to_xyz(sel.conformation, result.sequence))
@@ -279,7 +284,7 @@ def emit(result: PipelineResult, out_dir: Optional[str] = None) -> dict[str, str
     if cfg.solver == "vqe":
         params = result.best.selected.provenance.get("final_params")
         if params is not None:
-            write("params.json", json.dumps(params))
+            write("params.json", json.dumps(params, allow_nan=False))
     return written
 
 
@@ -291,7 +296,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[int, PipelineResult, dict[str, str]]:
 
 
 def load_result(path: str) -> dict:
-    """Load an emitted result document and independently re-validate it."""
+    """Load an emitted result document and re-validate it under the run's steric setting."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -302,7 +307,7 @@ def load_result(path: str) -> dict:
     coords = model.turns_to_coordinates(turns)
     if [list(c) for c in coords] != doc["coords"]:
         raise ValueError("stored coordinates disagree with stored turns")
-    report = model.validate(turns, seq)
+    report = model.validate(turns, seq, allow_steric=doc["provenance"]["allow_steric"])
     if doc["feasible"]:
         if not report.feasible:
             raise ValueError("stored feasible result fails re-validation")

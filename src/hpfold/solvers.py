@@ -18,17 +18,11 @@ from scipy.optimize import minimize
 from . import model
 from .ansatz import AnsatzSpec, probabilities, random_initial_params, simulate
 from .encoder import QuboProblem
-from .ising import (
-    IsingOperator,
-    SampleSet,
-    basis_energies,
-    basis_energy_chunks,
-    cvar,
-    ising_energy,
-    qubo_to_ising,
-)
+from .ising import SampleSet, basis_energy_chunks, cvar
 
 EXHAUSTIVE_VARIABLE_BUDGET = 24
+# Distinct states that an annealing run or an exact VQE distribution passes on.
+KEPT_SAMPLES = 4096
 # A simplex restart perturbs the best parameters uniformly within +-RESTART_SCALE * pi.
 RESTART_SCALE = 0.3
 
@@ -89,14 +83,15 @@ class SolveResult:
     sample_first_seen: Optional[tuple[int, ...]] = None
 
 
-def anneal(q: QuboProblem, sched: AnnealSchedule, keep_samples: int = 4096) -> SolveResult:
+def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
     """Simulated annealing with Metropolis single-flip sweeps.
 
     All restarts run in lockstep as rows of one state matrix. Every sweep
     proposes each variable once in a random order; flip costs come from
     maintained local fields, so a proposal is O(1) per restart. The sweep-end
-    state of every restart is recorded, and the lowest-energy ``keep_samples``
-    distinct states form the returned population.
+    state of every restart is recorded, and the lowest-energy ``KEPT_SAMPLES``
+    distinct states form the returned population. Their energies are
+    recomputed from the states, so they do not depend on the path taken.
     """
     n = q.n_vars
     const, lin, quad = q.to_dense()
@@ -113,7 +108,6 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep_samples: int = 4096) -> S
 
     sweeps = sched.sweeps
     snap_states = np.empty((sweeps, r, n), dtype=np.uint8)
-    snap_energy = np.empty((sweeps, r))
 
     trace = []
     for sweep, t in enumerate(sched.temperatures()):
@@ -135,21 +129,18 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep_samples: int = 4096) -> S
             best_x[improved] = x[improved]
             best_sweep[improved] = sweep
         snap_states[sweep] = x
-        snap_energy[sweep] = energy
         trace.append((sweep, float(energy.min()), float(best_energy.min())))
 
     all_states = np.concatenate(
         [snap_states.reshape(sweeps * r, n), best_x.astype(np.uint8)]
     )
-    all_energy = np.concatenate([snap_energy.reshape(-1), best_energy])
     all_sweeps = np.concatenate([np.repeat(np.arange(sweeps), r), best_sweep])
     uniq, inverse = np.unique(all_states, axis=0, return_inverse=True)
-    uniq_energy = np.full(uniq.shape[0], np.inf)
-    np.minimum.at(uniq_energy, inverse, all_energy)
+    uniq_energy = q.energies(uniq)
     uniq_first = np.full(uniq.shape[0], sweeps)
     np.minimum.at(uniq_first, inverse, all_sweeps)
     uniq_counts = np.bincount(inverse, minlength=uniq.shape[0])
-    order = np.argsort(uniq_energy, kind="stable")[:keep_samples]
+    order = np.argsort(uniq_energy, kind="stable")[:KEPT_SAMPLES]
     entries = tuple(
         (tuple(int(b) for b in uniq[i]), int(uniq_counts[i]), float(uniq_energy[i]))
         for i in order
@@ -190,7 +181,7 @@ def exhaustive(q: QuboProblem, keep: int = 4096) -> SolveResult:
         )
     top_idx = np.empty(0, dtype=np.int64)
     top_energy = np.empty(0)
-    for start, energy in basis_energy_chunks(qubo_to_ising(q)):
+    for start, energy in basis_energy_chunks(q):
         # states stay in ascending order, so the lowest state wins a tie
         top_idx = np.concatenate([top_idx, np.arange(start, start + energy.size)])
         top_energy = np.concatenate([top_energy, energy])
@@ -225,8 +216,16 @@ class VqeSettings:
     initial_params: Optional[tuple[float, ...]] = None
 
 
+def check_vqe_budget(spec: AnsatzSpec, max_evals: int) -> None:
+    """Reject a budget too small for one simplex over the ansatz parameters."""
+    if spec.n_params and max_evals < spec.n_params + 2:
+        raise ValueError(
+            f"max_evals {max_evals} cannot fit one simplex of {spec.n_params + 2} evaluations"
+        )
+
+
 def vqe_statevector(
-    op: IsingOperator,
+    energies: np.ndarray,
     spec: AnsatzSpec,
     settings: VqeSettings = VqeSettings(),
     alpha: float = 0.05,
@@ -234,15 +233,18 @@ def vqe_statevector(
 ) -> SolveResult:
     """Minimize the CVaR of the measured energy over the ansatz parameters.
 
-    With ``shots = 0`` the objective is the CVaR of the exact basis
-    distribution; otherwise each evaluation draws a fresh multinomial sample.
-    A Nelder-Mead simplex search runs under a total evaluation budget and
-    restarts from a perturbed best point whenever it converges early.
-    Returns the sampled population at the best parameters for post-selection.
+    ``energies`` holds the energy of every basis state, indexed by state
+    (``ising.basis_energies``). With ``shots = 0`` the objective is the CVaR
+    of the exact basis distribution; otherwise each evaluation draws a fresh
+    multinomial sample. A Nelder-Mead simplex search runs under a total
+    evaluation budget (see ``check_vqe_budget``) and restarts from a perturbed
+    best point whenever it converges early; with no parameters it evaluates
+    once. Returns the sampled population at the best parameters.
     """
-    if op.n != spec.n_qubits:
-        raise ValueError(f"operator has {op.n} variables, ansatz {spec.n_qubits} qubits")
-    energies_all = basis_energies(op)
+    n = spec.n_qubits
+    if np.shape(energies) != (1 << n,):
+        raise ValueError(f"{np.size(energies)} basis energies for {n} qubits")
+    check_vqe_budget(spec, settings.max_evals)
     rng = np.random.default_rng(settings.seed)
 
     if settings.initial_params is not None:
@@ -262,10 +264,10 @@ def vqe_statevector(
         if shots > 0:
             counts = rng.multinomial(shots, probs / probs.sum())
             nz = counts.nonzero()[0]
-            value = cvar(energies_all[nz], alpha, weights=counts[nz])
+            value = cvar(energies[nz], alpha, weights=counts[nz])
         else:
             nz = probs.nonzero()[0]
-            value = cvar(energies_all[nz], alpha, weights=probs[nz])
+            value = cvar(energies[nz], alpha, weights=probs[nz])
         state["evals"] += 1
         if value < state["best_value"]:
             state["best_value"] = value
@@ -273,14 +275,10 @@ def vqe_statevector(
         trace.append((state["evals"], float(value), float(state["best_value"])))
         return value
 
+    if spec.n_params == 0:  # nothing to optimize; one evaluation fixes the value
+        objective(x0)
     start = x0
-    while state["evals"] < settings.max_evals:
-        budget = settings.max_evals - state["evals"]
-        if budget < spec.n_params + 2:  # no room for a full simplex
-            break
-        if spec.n_params == 0:  # nothing to optimize; one evaluation fixes the value
-            objective(start)
-            break
+    while spec.n_params and (budget := settings.max_evals - state["evals"]) >= spec.n_params + 2:
         minimize(
             objective,
             start,
@@ -293,20 +291,18 @@ def vqe_statevector(
 
     final_probs = probabilities(simulate(spec, state["best_params"]))
     if shots > 0:
-        counts_arr = rng.multinomial(shots, final_probs / final_probs.sum())
-        counts = {
-            tuple((int(s) >> i) & 1 for i in range(op.n)): int(c)
-            for s, c in enumerate(counts_arr)
-            if c > 0
-        }
+        counts = rng.multinomial(shots, final_probs / final_probs.sum())
+        kept = counts.nonzero()[0]
+        counts = counts[kept]
     else:
-        kept = np.argsort(-final_probs, kind="stable")[:4096]
-        counts = {
-            tuple((int(s) >> i) & 1 for i in range(op.n)): 1
-            for s in kept
-            if final_probs[s] > 1e-12
-        }
-    samples = SampleSet.from_counts(counts, lambda bits: ising_energy(op, bits))
+        kept = np.argsort(-final_probs, kind="stable")[:KEPT_SAMPLES]
+        kept = kept[final_probs[kept] > 1e-12]
+        counts = np.ones(kept.size, dtype=int)
+    entries = tuple(sorted(
+        (tuple((int(s) >> i) & 1 for i in range(n)), int(c), float(energies[s]))
+        for s, c in zip(kept, counts)
+    ))
+    samples = SampleSet(entries=entries, shots=int(counts.sum()))
 
     best_entry = min(samples.entries, key=lambda e: (e[2], e[0]))
     return SolveResult(

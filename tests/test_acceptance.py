@@ -17,7 +17,7 @@ from hpfold.encoder import (
     build_objective,
     build_pair_exclusion,
 )
-from hpfold.ising import SampleSet, basis_energies, cvar, qubo_to_ising
+from hpfold.ising import SampleSet, basis_energies, cvar, ising_energy, qubo_to_ising
 from hpfold.polynomial import BinaryPolynomial
 from hpfold.solvers import (
     AnsatzSpec,
@@ -60,6 +60,17 @@ def batch_evaluate(poly, bits_matrix):
     return out
 
 
+def spin_evaluate(op, bits_matrix):
+    """Spin-form energies over rows of a 0/1 matrix, term by term."""
+    z = 1.0 - 2.0 * bits_matrix
+    out = np.full(bits_matrix.shape[0], op.constant)
+    for i, coeff in op.h.items():
+        out += coeff * z[:, i]
+    for (a, b), coeff in op.j.items():
+        out += coeff * z[:, a] * z[:, b]
+    return out
+
+
 def all_bitstrings(n):
     idx = np.arange(1 << n, dtype=np.int64)
     return ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
@@ -93,13 +104,16 @@ def test_criterion_3_qubo_ising_equivalence():
 
         bits = all_bitstrings(n)
         qubo_vals = batch_evaluate(poly, bits)
-        ising_vals = basis_energies(op)
+        ising_vals = spin_evaluate(op, bits)
         worst = max(worst, float(np.max(np.abs(qubo_vals - ising_vals))))
-        # anchor the batched evaluation to the scalar evaluate()
+        # anchor both batched evaluations to the scalar evaluate() and ising_energy()
         for row in bits[rng.integers(0, len(bits), size=5)]:
             b = tuple(int(v) for v in row)
             assert poly.evaluate(b) == pytest.approx(
                 float(batch_evaluate(poly, np.array([row]))[0]), abs=1e-12
+            )
+            assert ising_energy(op, b) == pytest.approx(
+                float(spin_evaluate(op, np.array([row]))[0]), abs=1e-12
             )
     assert worst < 1e-9
     report(3, True, f"100 random problems, max |QUBO - spin| deviation {worst:.2e}")
@@ -247,9 +261,8 @@ def test_criterion_8_vqe_desk_scale():
         start = time.time()
         draw = hp.draw_axes(np.random.default_rng([8008, seed]), layout)
         q = hp.assemble(seq, layout, pen, draw, rng_seed=seed)
-        op = qubo_to_ising(q)
         res = vqe_statevector(
-            op,
+            basis_energies(q),
             AnsatzSpec(n_qubits=6, reps=1),
             VqeSettings(max_evals=500, seed=seed),
             alpha=0.05,

@@ -14,6 +14,7 @@ from hpfold.ising import (
     ising_to_json,
     qubo_to_ising,
 )
+from hpfold.encoder import AxisDraw, PenaltyConfig, QuboProblem, VariableLayout
 from hpfold.polynomial import BinaryPolynomial
 
 
@@ -104,11 +105,17 @@ class TestIsingEnergy:
 
     def test_basis_energies_order(self):
         rng = np.random.default_rng(25)
-        poly = random_quadratic(rng, 4)
-        op = qubo_to_ising(poly, n_vars=4)
-        energies = basis_energies(op)
-        for s in range(16):
-            bits = tuple((s >> i) & 1 for i in range(4))
+        q = QuboProblem(
+            polynomial=random_quadratic(rng, 6),
+            layout=VariableLayout(2, first_turn_fixed=False),
+            penalties=PenaltyConfig(1, 1, 1, 1, 1),
+            axis_draw=AxisDraw(overlap={}, crossing={}),
+        )
+        op = qubo_to_ising(q)
+        energies = basis_energies(q)
+        for s in range(64):
+            bits = tuple((s >> i) & 1 for i in range(6))
+            assert energies[s] == q.evaluate(bits)
             assert energies[s] == pytest.approx(ising_energy(op, bits), abs=1e-12)
 
 
@@ -120,14 +127,6 @@ class TestSampleSet:
             SampleSet(entries=(((0,), 0, 1.0),), shots=0)
         with pytest.raises(ValueError):
             SampleSet(entries=(((0,), 2, 1.0),), shots=3)
-
-    def test_from_counts(self):
-        ss = SampleSet.from_counts({(0, 0): 2, (1, 0): 1}, lambda b: float(sum(b)))
-        assert ss.shots == 3
-        assert dict((bits, e) for bits, _c, e in ss.entries) == {
-            (0, 0): 0.0,
-            (1, 0): 1.0,
-        }
 
     def test_json(self):
         ss = SampleSet(entries=(((0, 1, 1), 2, -3.5),), shots=2)

@@ -13,6 +13,15 @@ from hpfold.cli import main
 from hpfold.pipeline import RunConfig, load_result, result_document, solve_sequence
 
 
+def strict_json(path):
+    """Parse a JSON file, rejecting NaN and the infinities."""
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def file_hashes(paths):
     return {
         name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
@@ -95,6 +104,32 @@ class TestPipeline:
         Path(written["result.json"]).write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="coordinates"):
             load_result(written["result.json"])
+
+    def test_revalidation_uses_the_run_steric_setting(self, tmp_path):
+        cfg = RunConfig(
+            sequence="HPPH", solver="exhaustive", draws=1, seed=3,
+            allow_steric=False, out_dir=str(tmp_path),
+        )
+        _, result, written = hp.run_pipeline(cfg)
+        doc = json.loads(Path(written["result.json"]).read_text())
+        assert doc["provenance"]["allow_steric"] is False
+        turns = ((1, 0, 0), (0, 1, 0), (-1, -1, 1))  # the last turn is body-diagonal
+        coords = hp.turns_to_coordinates(turns)
+        assert hp.validate(turns, result.sequence).feasible
+        assert not hp.validate(turns, result.sequence, allow_steric=False).feasible
+        doc.update(
+            turns=[list(t) for t in turns],
+            coords=[list(c) for c in coords],
+            contacts=hp.count_contacts(coords, result.sequence),
+            feasible=True,
+        )
+        Path(written["result.json"]).write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="feasible"):
+            load_result(written["result.json"])
+        # where steric turns are allowed, the same fold passes
+        doc["provenance"]["allow_steric"] = True
+        Path(written["result.json"]).write_text(json.dumps(doc))
+        assert load_result(written["result.json"])["turns"] == [list(t) for t in turns]
 
     def test_byte_identical_rerun(self, tmp_path):
         def run(where):
@@ -254,6 +289,18 @@ class TestCli:
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"seq": "HPH", "bogus": 1}))
         assert main(["--config", str(conf)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_missing_config_file_is_io_error(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path / "nope.json")]) == 3
+        assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"seq": "HPH",', '["--seq", "HPH"]'])
+    def test_malformed_config_file_is_config_error(self, text, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(text)
+        assert main(["--config", str(conf)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_mistyped_config_value_rejected(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
@@ -390,6 +437,7 @@ class TestCli:
             ["--draws", "0"],
             ["--seq", "HPHPHPH", "--solver", "exhaustive"],  # 30 variables
             ["--seq", "HPHPHP", "--solver", "vqe"],  # 24 qubits
+            ["--solver", "vqe", "--max-evals", "3"],  # below one simplex of 50
         ],
     )
     def test_bad_config_exits_before_any_draw(self, flags, tmp_path, monkeypatch, capsys):
@@ -411,3 +459,14 @@ class TestCli:
         doc = load_result(str(tmp_path / "result.json"))
         assert doc["bitstring"] == ""
         assert doc["coords"] == [[0, 0, 0], [1, 0, 0]]
+
+    @pytest.mark.filterwarnings("ignore:sequence has no non-bonded H pairs")
+    def test_vqe_without_parameters_evaluates_once(self, tmp_path):
+        argv = ["--seq", "HP", "--solver", "vqe", "--max-evals", "1", "--export-qubo",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        names = sorted(p.name for p in tmp_path.glob("*.json"))
+        assert names == ["params.json", "qubo.json", "result.json", "samples.json"]
+        docs = {name: strict_json(tmp_path / name) for name in names}
+        assert docs["result.json"]["provenance"]["evaluations"] == 1
+        assert docs["params.json"] == []

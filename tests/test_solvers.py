@@ -28,6 +28,12 @@ def toy_problem(poly, n_vars):
     )
 
 
+def sample_set(q, counts):
+    """Samples with the given multiplicities, each at its problem energy."""
+    entries = tuple((bits, c, q.evaluate(bits)) for bits, c in sorted(counts.items()))
+    return SampleSet(entries=entries, shots=sum(counts.values()))
+
+
 def folding_problem(beads, seed=0, fixed=True):
     seq = parse_sequence(beads)
     layout = VariableLayout(len(seq), first_turn_fixed=fixed)
@@ -74,7 +80,7 @@ class TestAnneal:
         _, q = folding_problem("HPH", seed=6)
         res = anneal(q, AnnealSchedule(t_initial=10.0, sweeps=50, restarts=4, seed=7))
         for bits, _count, energy in res.samples.entries[:50]:
-            assert energy == pytest.approx(q.evaluate(bits), abs=1e-6)
+            assert energy == q.evaluate(bits)
         assert res.sample_first_seen is not None
         assert len(res.sample_first_seen) == len(res.samples.entries)
 
@@ -132,9 +138,7 @@ class TestPostselect:
         layout = q.layout
         feasible_bits = encode_turns(((1, 0, 0), (-1, 1, 0)), layout)
         overlap_bits = encode_turns(((1, 0, 0), (-1, 0, 0)), layout)
-        samples = SampleSet.from_counts(
-            {feasible_bits: 1, overlap_bits: 5}, q.evaluate
-        )
+        samples = sample_set(q, {feasible_bits: 1, overlap_bits: 5})
         sel = postselect(samples, q, seq)
         assert sel.feasible
         assert sel.best_bits == feasible_bits
@@ -143,7 +147,7 @@ class TestPostselect:
     def test_no_feasible_flagged(self):
         seq, q = folding_problem("HPH", seed=13)
         overlap_bits = encode_turns(((1, 0, 0), (-1, 0, 0)), q.layout)
-        samples = SampleSet.from_counts({overlap_bits: 2}, q.evaluate)
+        samples = sample_set(q, {overlap_bits: 2})
         sel = postselect(samples, q, seq)
         assert sel.feasible is False
         assert sel.report is not None and sel.report.overlap
@@ -174,7 +178,7 @@ class TestPostselect:
         zp = q.layout.index(2, "z", "plus")
         zm = q.layout.index(2, "z", "minus")
         bits[zp] = bits[zm] = 1
-        samples = SampleSet.from_counts({tuple(bits): 1}, q.evaluate)
+        samples = sample_set(q, {tuple(bits): 1})
         sel = postselect(samples, q, seq)
         assert sel.feasible is False
         assert sel.report.pair_exclusion
