@@ -13,21 +13,22 @@ objective combines five ingredients:
 * a penalty on setting both halves of any plus/minus pair, which is what
   keeps the continuity penalty quadratic.
 
-The result is a degree-2 polynomial ready for annealing, exhaustive search,
-or conversion to a diagonal spin operator.
+Each part is a weighted square of a linear form in the signed steps, which
+``assemble`` turns into dense arrays with a few matrix products; the
+``build_*`` polynomials are their specification and test oracle.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .model import AXES, HpSequence, hydrophobic_pairs
-from .polynomial import BinaryPolynomial
+from .polynomial import PRUNE_THRESHOLD, BinaryPolynomial
 
 HALVES = ("plus", "minus")
 
@@ -145,17 +146,14 @@ class AxisDraw:
 def draw_axes(rng: np.random.Generator, layout: VariableLayout) -> AxisDraw:
     """Draw one reward axis per constrained pair.
 
-    For each pair three standard normals are drawn and the axis of the
-    largest wins; exact ties (vanishing probability, but possible in finite
-    precision) resolve in x, y, z order.
+    For each pair, overlap pairs first, three standard normals are drawn and
+    the axis of the largest wins; exact ties (vanishing probability, but
+    possible in finite precision) resolve in x, y, z order.
     """
-    def pick() -> str:
-        draws = rng.standard_normal(3)
-        return AXES[int(np.argmax(draws))]
-
-    ov = {pair: pick() for pair in overlap_pairs(layout.n_beads)}
-    cr = {pair: pick() for pair in crossing_pairs(layout.n_beads)}
-    return AxisDraw(overlap=ov, crossing=cr)
+    ov = overlap_pairs(layout.n_beads)
+    cr = crossing_pairs(layout.n_beads)
+    axes = [AXES[k] for k in np.argmax(rng.standard_normal((len(ov) + len(cr), 3)), axis=1)]
+    return AxisDraw(overlap=dict(zip(ov, axes)), crossing=dict(zip(cr, axes[len(ov):])))
 
 
 @dataclass(frozen=True)
@@ -378,50 +376,47 @@ def build_pair_exclusion(layout: VariableLayout) -> BinaryPolynomial:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuboProblem:
-    """A degree-2 polynomial plus everything needed to reproduce it.
+    """The problem ``const + lin·x + Σ_{i<j} quad[i, j]·x_i·x_j`` and how it was built.
 
-    The dense form is built once, on construction, and is read-only.
+    ``quad`` is symmetric with a zero diagonal; the problem keeps read-only copies.
     """
 
-    polynomial: BinaryPolynomial
+    const: float
+    lin: np.ndarray
+    quad: np.ndarray
     layout: VariableLayout
     penalties: PenaltyConfig
     axis_draw: AxisDraw
     rng_seed: int = 0
-    _dense: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.polynomial.degree() > 2:
-            raise ValueError(
-                f"QUBO polynomial must have degree <= 2, got {self.polynomial.degree()}"
-            )
         n = self.n_vars
-        lin = np.zeros(n)
-        quad = np.zeros((n, n))
-        const = 0.0
-        for key, coeff in self.polynomial.terms.items():
-            if not key:
-                const = coeff
-            elif len(key) == 1:
-                (i,) = key
-                lin[i] = coeff
-            else:
-                i, j = sorted(key)
-                quad[i, j] = quad[j, i] = coeff
+        lin, quad = np.array(self.lin, dtype=float), np.array(self.quad, dtype=float)
+        if lin.shape != (n,) or quad.shape != (n, n):
+            raise ValueError(f"shapes {lin.shape} and {quad.shape} for {n} variables")
+        if quad.diagonal().any() or not np.array_equal(quad, quad.T):
+            raise ValueError("the quadratic matrix must be symmetric with a zero diagonal")
         lin.flags.writeable = quad.flags.writeable = False
-        object.__setattr__(self, "_dense", (const, lin, quad))
+        for name, value in (("const", float(self.const)), ("lin", lin), ("quad", quad)):
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        # Rebuild on unpickling, so the dense form stays read-only.
-        return QuboProblem, (
-            self.polynomial, self.layout, self.penalties, self.axis_draw, self.rng_seed
-        )
+        # Rebuild on unpickling, so the arrays stay read-only.
+        return QuboProblem, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_vars(self) -> int:
         return self.layout.n_vars
+
+    @property
+    def polynomial(self) -> BinaryPolynomial:
+        """The same terms as a polynomial, for the spin-form export and tests."""
+        lin = {frozenset((int(i),)): self.lin[i] for i in np.flatnonzero(self.lin)}
+        pairs = zip(*np.nonzero(np.triu(self.quad)))
+        quad = {frozenset((int(i), int(j))): self.quad[i, j] for i, j in pairs}
+        return BinaryPolynomial({frozenset(): self.const, **lin, **quad})
 
     def energies(self, bits) -> np.ndarray:
         """Energies of the rows of a (k, n) 0/1 matrix.
@@ -432,13 +427,12 @@ class QuboProblem:
         bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[1] != self.n_vars:
             raise ValueError(f"expected a (k, {self.n_vars}) bit matrix, got {bits.shape}")
-        const, lin, quad = self._dense
         cols = np.ascontiguousarray(bits.T, dtype=np.uint8)  # one row per variable
-        total = np.full(bits.shape[0], const)
-        for i in np.flatnonzero(lin):
-            total += lin[i] * cols[i]
-        for i, j in zip(*np.nonzero(np.triu(quad))):
-            total += quad[i, j] * (cols[i] & cols[j])
+        total = np.full(bits.shape[0], self.const)
+        for i in np.flatnonzero(self.lin):
+            total += self.lin[i] * cols[i]
+        for i, j in zip(*np.nonzero(np.triu(self.quad))):
+            total += self.quad[i, j] * (cols[i] & cols[j])
         return total
 
     def evaluate(self, bits) -> float:
@@ -446,7 +440,7 @@ class QuboProblem:
 
     def to_dense(self) -> tuple[float, np.ndarray, np.ndarray]:
         """(constant, linear vector, symmetric quadratic matrix with zero diagonal)."""
-        return self._dense
+        return self.const, self.lin, self.quad
 
 
 def assemble(
@@ -456,21 +450,58 @@ def assemble(
     draw: AxisDraw,
     rng_seed: int = 0,
 ) -> QuboProblem:
-    """Combine all five parts with their weights into one quadratic problem."""
-    poly = (
-        penalties.lambda0 * build_objective(seq, layout)
-        + penalties.lambda1 * build_continuity(layout, form="quadratic")
-        - penalties.lambda2 * build_overlap(layout, draw)
-        - penalties.lambda3 * build_crossing(layout, draw)
-        + penalties.lambda4 * build_pair_exclusion(layout)
+    """Combine all five parts with their weights into one quadratic problem.
+
+    Equals the weighted sum of the ``build_*`` polynomials up to rounding. The
+    squared step sums add up to a Gram matrix over ``[x, 1]``; a turn with U
+    set halves adds continuity ``1 - 3U/2 + U²/2`` plus its plus·minus products.
+    """
+    if len(seq) != layout.n_beads:
+        raise ValueError("sequence/layout bead count mismatch")
+    n, n_turns = layout.n_vars, layout.n_turns
+    # steps[a] maps [x, 1] to every turn's signed step along axis a
+    steps = np.zeros((3, n_turns, n + 1))
+    axis = np.arange(3)[:, None]
+    turn_rows = np.arange(layout.first_encoded_turn - 1, n_turns)
+    plus = 6 * np.arange(turn_rows.size) + 2 * axis
+    steps[axis, turn_rows, plus] = 1.0
+    steps[axis, turn_rows, plus + 1] = -1.0
+    if layout.first_turn_fixed:
+        steps[:, 0, n] = layout.fixed_turn
+
+    # one row of turn multiples per squared sum: H pairs, overlap pairs, crossing pairs
+    h_pairs = hydrophobic_pairs(seq)
+    ov, cr = overlap_pairs(layout.n_beads), crossing_pairs(layout.n_beads)
+    rows = np.zeros((len(h_pairs) + len(ov) + len(cr), n_turns))
+    for row, (i, j) in zip(rows, h_pairs + ov):
+        row[i - 1 : j - 1] = 1.0
+    for row, (r, k) in zip(rows[len(h_pairs) + len(ov) :], cr):
+        row[r : k - 1] = 2.0
+        row[[r - 1, k - 1]] = 1.0
+    weights = np.r_[
+        penalties.lambda0 * np.array([seq.weight(j, k) for j, k in h_pairs]),
+        [-penalties.lambda2] * len(ov), [-penalties.lambda3] * len(cr),
+    ]
+    drawn = np.array([draw.overlap[p] for p in ov] + [draw.crossing[p] for p in cr], "U1")
+
+    gram = np.zeros((n + 1, n + 1))
+    for a, name in enumerate(AXES):
+        used = np.r_[np.ones(len(h_pairs), bool), drawn == name]
+        forms = rows[used] @ steps[a]
+        gram += (forms.T * weights[used]) @ forms
+    halves = np.abs(steps).sum(axis=0)
+    gram += 0.5 * penalties.lambda1 * (halves.T @ halves)
+    gram[np.diag_indices(n + 1)] -= 1.5 * penalties.lambda1 * halves.sum(axis=0)
+    gram[n, n] += penalties.lambda1 * n_turns
+    gram[np.arange(0, n, 2), np.arange(1, n, 2)] += penalties.lambda1 + penalties.lambda4
+
+    quad = gram[:n, :n] + gram[:n, :n].T
+    np.fill_diagonal(quad, 0.0)
+    lin = gram.diagonal()[:n] + gram[:n, n] + gram[n, :n]
+    const, lin, quad = (
+        np.where(np.abs(v) > PRUNE_THRESHOLD, v, 0.0) for v in (gram[n, n], lin, quad)
     )
-    return QuboProblem(
-        polynomial=poly,
-        layout=layout,
-        penalties=penalties,
-        axis_draw=draw,
-        rng_seed=rng_seed,
-    )
+    return QuboProblem(const, lin, quad, layout, penalties, draw, rng_seed)
 
 
 def qubo_to_json(q: QuboProblem, sequence: str | None = None) -> str:
@@ -498,6 +529,7 @@ def qubo_to_json(q: QuboProblem, sequence: str | None = None) -> str:
 
 
 def qubo_from_json(text: str) -> QuboProblem:
+    """Reload a problem written by ``qubo_to_json``; malformed entries raise ValueError."""
     doc = json.loads(text)
     meta = doc["metadata"]
     layout = VariableLayout(
@@ -505,15 +537,24 @@ def qubo_from_json(text: str) -> QuboProblem:
         first_turn_fixed=meta["first_turn_fixed"],
         fixed_turn=tuple(meta["fixed_turn"]),
     )
-    terms: dict[frozenset[int], float] = {frozenset(): doc["constant"]}
-    for i, coeff in doc["linear"]:
-        terms[frozenset((i,))] = coeff
-    for i, j, coeff in doc["quadratic"]:
-        terms[frozenset((i, j))] = coeff
+    n = layout.n_vars
+    if doc["variables"] != n:
+        raise ValueError(f"{doc['variables']} variables declared, the layout has {n}")
+    dense = np.zeros((n, n))  # linear coefficients on the diagonal
+    seen: set[frozenset] = set()
+    for name, arity in (("linear", 1), ("quadratic", 2)):
+        for entry in doc[name]:
+            *idx, coeff = entry
+            key = frozenset(idx)
+            if len(idx) != arity or len(key) != arity or key in seen or not all(
+                type(i) is int and 0 <= i < n for i in idx
+            ):
+                raise ValueError(f"malformed or repeated {name} entry {entry}")
+            seen.add(key)
+            dense[idx[0], idx[-1]] = dense[idx[-1], idx[0]] = coeff
+    lin = np.diag(dense)
+    penalties = PenaltyConfig.from_dict(meta["penalties"])
+    draw = AxisDraw.from_dict(meta["axis_draw"])
     return QuboProblem(
-        polynomial=BinaryPolynomial(terms),
-        layout=layout,
-        penalties=PenaltyConfig.from_dict(meta["penalties"]),
-        axis_draw=AxisDraw.from_dict(meta["axis_draw"]),
-        rng_seed=meta["seed"],
+        doc["constant"], lin, dense - np.diag(lin), layout, penalties, draw, meta["seed"]
     )

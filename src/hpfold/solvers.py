@@ -149,10 +149,9 @@ def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
     first_seen = tuple(int(uniq_first[i]) for i in order)
 
     winner = int(np.argmin(best_energy))
-    best_bits = tuple(int(b) for b in best_x[winner])
     return SolveResult(
-        best_bits=best_bits,
-        best_value=float(q.evaluate(best_bits)),
+        best_bits=tuple(int(b) for b in best_x[winner]),
+        best_value=float(uniq_energy[inverse[sweeps * r + winner]]),
         samples=samples,
         trace=tuple(trace),
         provenance={
@@ -377,7 +376,7 @@ def postselect(
     bits, energy, report, conf, contacts = chosen
     return SolveResult(
         best_bits=bits,
-        best_value=float(q.evaluate(bits)),
+        best_value=float(energy),
         samples=samples,
         trace=(),
         provenance={

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from hpfold.encoder import (
     AxisDraw,
     PenaltyConfig,
-    QuboProblem,
     VariableLayout,
     assemble,
     build_continuity,
@@ -293,6 +293,15 @@ class TestDrawAxes:
         with pytest.raises(ValueError):
             AxisDraw(overlap={(1, 3): "w"}, crossing={})
 
+    @pytest.mark.parametrize("beads", [2, 3, 4, 10, 28])
+    def test_same_draws_as_one_draw_per_pair(self, beads):
+        layout = VariableLayout(beads)
+        rng = np.random.default_rng(beads)
+        pairs = overlap_pairs(beads) + crossing_pairs(beads)
+        expected = ["xyz"[int(np.argmax(rng.standard_normal(3)))] for _ in pairs]
+        d = draw_axes(np.random.default_rng(beads), layout)
+        assert [*d.overlap.values(), *d.crossing.values()] == expected
+
 
 class TestCalibrate:
     def test_table_row_counts(self):
@@ -381,19 +390,6 @@ class TestAssemble:
         # objective: spans x=0,y=1,z=0 -> 1; overlap reward along y: 1
         assert q.evaluate(bits) == pytest.approx(pen.lambda0 * 1.0 - 1.0)
 
-    def test_quadratic_guard(self):
-        cubic = BinaryPolynomial(
-            {frozenset((0, 1, 2)): 1.0}
-        )
-        layout = VariableLayout(2, first_turn_fixed=False)
-        with pytest.raises(ValueError):
-            QuboProblem(
-                polynomial=cubic,
-                layout=layout,
-                penalties=PenaltyConfig(1, 1, 1, 1, 1),
-                axis_draw=AxisDraw(overlap={}, crossing={}),
-            )
-
     def test_evaluate_bit_count(self):
         _, _, _, _, q = self._problem("HPH")
         with pytest.raises(ValueError):
@@ -413,6 +409,28 @@ class TestQuboJson:
         assert q2.axis_draw == q.axis_draw
         assert q2.penalties == q.penalties
         assert q2.rng_seed == 13
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["quadratic"].append([3, 3, 100.0]),
+            lambda doc: doc["linear"].append([-1, 5.0]),
+            lambda doc: doc["linear"].append([doc["linear"][0][0], 1.0]),
+            lambda doc: doc.update(variables=99),
+            lambda doc: doc["quadratic"].append([0, doc["variables"], 1.0]),
+        ],
+        ids=["diagonal-quadratic", "negative-index", "duplicate", "variable-count", "out-of-range"],
+    )
+    def test_malformed_entries_rejected(self, edit):
+        seq = parse_sequence("HPPH")
+        layout = VariableLayout(4)
+        draw = draw_axes(np.random.default_rng(3), layout)
+        q = assemble(seq, layout, calibrate_penalties(seq), draw)
+        doc = json.loads(qubo_to_json(q, sequence="HPPH"))
+        qubo_from_json(json.dumps(doc))
+        edit(doc)
+        with pytest.raises(ValueError):
+            qubo_from_json(json.dumps(doc))
 
     def test_dense_matches_polynomial(self):
         seq = parse_sequence("HPH")

@@ -14,7 +14,8 @@ from hpfold.ising import (
     ising_to_json,
     qubo_to_ising,
 )
-from hpfold.encoder import AxisDraw, PenaltyConfig, QuboProblem, VariableLayout
+from conftest import problem_from_polynomial
+from hpfold.encoder import VariableLayout
 from hpfold.polynomial import BinaryPolynomial
 
 
@@ -105,12 +106,8 @@ class TestIsingEnergy:
 
     def test_basis_energies_order(self):
         rng = np.random.default_rng(25)
-        q = QuboProblem(
-            polynomial=random_quadratic(rng, 6),
-            layout=VariableLayout(2, first_turn_fixed=False),
-            penalties=PenaltyConfig(1, 1, 1, 1, 1),
-            axis_draw=AxisDraw(overlap={}, crossing={}),
-        )
+        layout = VariableLayout(2, first_turn_fixed=False)
+        q = problem_from_polynomial(random_quadratic(rng, 6), layout)
         op = qubo_to_ising(q)
         energies = basis_energies(q)
         for s in range(64):

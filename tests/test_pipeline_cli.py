@@ -218,6 +218,23 @@ class TestPipeline:
         )
         assert result_document(serial) == result_document(parallel)
 
+    @pytest.mark.parametrize(
+        "solver,extra",
+        [("anneal", {"sweeps": 50, "restarts": 3, "export_qubo": True}),
+         ("exhaustive", {}), ("vqe", {"max_evals": 60})],
+    )
+    def test_no_polynomial_is_built(self, solver, extra, tmp_path, monkeypatch):
+        def refuse(self, terms=None):
+            raise AssertionError("a BinaryPolynomial was built on the run path")
+
+        monkeypatch.setattr(hp.BinaryPolynomial, "__init__", refuse)
+        cfg = RunConfig(
+            sequence="HPPH", solver=solver, draws=2, seed=5, out_dir=str(tmp_path), **extra
+        )
+        written = hp.emit(solve_sequence(cfg))
+        assert "result.json" in written
+        assert ("qubo.json" in written) == cfg.export_qubo
+
 
 class TestCli:
     def test_happy_path(self, tmp_path, capsys):

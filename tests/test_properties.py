@@ -8,6 +8,7 @@ states are real ties.
 import json
 import math
 import pickle
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,10 @@ from hypothesis import strategies as st
 import hpfold as hp
 from hpfold import ising
 from hpfold.ansatz import AnsatzSpec
-from hpfold.encoder import AxisDraw, PenaltyConfig, QuboProblem, VariableLayout
+from conftest import problem_from_polynomial
+from hpfold import encoder
+from hpfold.encoder import VariableLayout
+from hpfold.model import hydrophobic_pairs, parse_sequence
 from hpfold.polynomial import BinaryPolynomial
 from hpfold.solvers import VqeSettings, anneal, default_schedule, exhaustive, vqe_statevector
 
@@ -36,11 +40,8 @@ def quadratic_problems(draw, max_used=10, coeff=st.integers(-8, 8)):
         for j in range(i + 1, used):
             if draw(st.booleans()):
                 terms[frozenset((i, j))] = draw(coeff)
-    return QuboProblem(
-        polynomial=BinaryPolynomial(terms),
-        layout=VariableLayout(n_vars // 6 + 1, first_turn_fixed=False),
-        penalties=PenaltyConfig(1.0, 1.0, 1.0, 1.0, 1.0),
-        axis_draw=AxisDraw(overlap={}, crossing={}),
+    return problem_from_polynomial(
+        BinaryPolynomial(terms), VariableLayout(n_vars // 6 + 1, first_turn_fixed=False)
     )
 
 
@@ -167,11 +168,62 @@ def test_dense_form_matches_terms_and_is_read_only(q):
 def test_qubo_json_round_trip(q, seq):
     text = hp.qubo_to_json(q, sequence=seq)
     back = hp.qubo_from_json(text)
-    assert back == q
+    assert back.const == q.const
+    assert np.array_equal(back.lin, q.lin) and np.array_equal(back.quad, q.quad)
+    assert back.layout == q.layout
+    assert back.penalties == q.penalties
+    assert back.axis_draw == q.axis_draw
+    assert back.rng_seed == q.rng_seed
     assert back.polynomial == q.polynomial
     assert hp.qubo_to_json(back, sequence=seq) == text
-    for got, want in zip(back.to_dense()[1:], q.to_dense()[1:]):
-        assert np.array_equal(got, want)
+
+
+# Penalty weights and hints. The builders prune coefficients at or below
+# PRUNE_THRESHOLD in every intermediate sum and assemble prunes once, so a
+# weight near 1e-12 can leave a coefficient within rounding of the threshold,
+# kept by one and pruned by the other.
+LAMBDAS = st.one_of(st.just(0.0), st.floats(1e-3, 50.0))
+
+
+@st.composite
+def encodings(draw):
+    """A sequence, layout, penalties and axis draw as the pipeline could build them."""
+    beads = draw(st.text("HP", min_size=2, max_size=9))
+    h_pairs = hydrophobic_pairs(parse_sequence(beads))
+    weights = {p: draw(st.floats(0.1, 5.0)) for p in h_pairs if draw(st.booleans())}
+    seq = parse_sequence(beads, weights=weights or None)
+    layout = VariableLayout(
+        len(seq),
+        first_turn_fixed=draw(st.booleans()),
+        fixed_turn=draw(st.tuples(*[st.integers(-1, 1)] * 3)),
+    )
+    overrides = draw(st.dictionaries(
+        st.sampled_from(["lambda0", "lambda1", "lambda2", "lambda3", "lambda4"]),
+        LAMBDAS,
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sequences without H pairs warn
+        penalties = encoder.calibrate_penalties(seq, draw(LAMBDAS), overrides)
+    axis_draw = encoder.draw_axes(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), layout)
+    return seq, layout, penalties, axis_draw
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=encodings())
+def test_assemble_matches_the_builders(case):
+    seq, layout, pen, draw = case
+    spec = (
+        pen.lambda0 * encoder.build_objective(seq, layout)
+        + pen.lambda1 * encoder.build_continuity(layout, form="quadratic")
+        - pen.lambda2 * encoder.build_overlap(layout, draw)
+        - pen.lambda3 * encoder.build_crossing(layout, draw)
+        + pen.lambda4 * encoder.build_pair_exclusion(layout)
+    ).as_dict()
+    got = encoder.assemble(seq, layout, pen, draw).polynomial.as_dict()
+    assert got.keys() == spec.keys()
+    scale = max(map(abs, spec.values()), default=0.0)
+    for key, coeff in spec.items():
+        assert abs(got[key] - coeff) <= 1e-12 * scale
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import hpfold as hp
-from hpfold.encoder import AxisDraw, PenaltyConfig, QuboProblem, VariableLayout
+from conftest import problem_from_polynomial
+from hpfold.encoder import VariableLayout
 from hpfold.ising import SampleSet
 from hpfold.model import encode_turns, parse_sequence
 from hpfold.polynomial import BinaryPolynomial
@@ -20,12 +21,7 @@ def toy_problem(poly, n_vars):
     beads = n_vars // 6 + 1
     if 6 * (beads - 1) != n_vars:
         raise ValueError("toy problems need a multiple of 6 variables")
-    return QuboProblem(
-        polynomial=poly,
-        layout=VariableLayout(beads, first_turn_fixed=False),
-        penalties=PenaltyConfig(1, 1, 1, 1, 1),
-        axis_draw=AxisDraw(overlap={}, crossing={}),
-    )
+    return problem_from_polynomial(poly, VariableLayout(beads, first_turn_fixed=False))
 
 
 def sample_set(q, counts):
@@ -162,6 +158,7 @@ class TestPostselect:
         s2 = postselect(backward, q, seq)
         assert s1.best_bits == s2.best_bits
         assert s1.contacts == s2.contacts
+        assert s1.best_value == s2.best_value == q.evaluate(s1.best_bits)
 
     def test_top_k_cut(self):
         seq, q = folding_problem("HPH", seed=15)
