@@ -54,15 +54,21 @@ def default_schedule(
     q: QuboProblem, sweeps: int = 2000, restarts: int = 20, seed: int = 0
 ) -> AnnealSchedule:
     """Scale the start temperature to the largest coefficient so early
-    acceptance is near-uniform."""
+    acceptance is near-uniform. The final temperature is 0.01, or a hundredth
+    of the start where coefficients are below 1e-3; a problem whose
+    coefficients are all zero or subnormal anneals from 1 to 0.01."""
     const, lin, quad = q.to_dense()
     scale = max(
         float(np.max(np.abs(lin))) if lin.size else 0.0,
         float(np.max(np.abs(quad))) if quad.size else 0.0,
     )
-    t_init = 10.0 * scale if scale > 0 else 1.0
+    t_init = 10.0 * scale if scale >= np.finfo(float).tiny else 1.0
     return AnnealSchedule(
-        t_initial=t_init, t_final=0.01, sweeps=sweeps, restarts=restarts, seed=seed
+        t_initial=t_init,
+        t_final=min(0.01, t_init / 100),
+        sweeps=sweeps,
+        restarts=restarts,
+        seed=seed,
     )
 
 

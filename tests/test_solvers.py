@@ -86,6 +86,24 @@ class TestAnneal:
         with pytest.raises(ValueError):
             AnnealSchedule(t_initial=1.0, sweeps=0)
 
+    @pytest.mark.parametrize(
+        "coeff, t_initial, t_final",
+        [(0.0, 1.0, 0.01), (5e-324, 1.0, 0.01), (6e-8, 6e-7, 6e-9), (1.0, 10.0, 0.01)],
+    )
+    def test_default_schedule_for_any_scale(self, coeff, t_initial, t_final):
+        # built from arrays: the polynomial prunes coefficients below 1e-12
+        lin = np.zeros(6)
+        lin[0] = coeff
+        q = hp.QuboProblem(
+            0.0, lin, np.zeros((6, 6)), VariableLayout(2, first_turn_fixed=False),
+            hp.PenaltyConfig(1.0, 1.0, 1.0, 1.0, 1.0), hp.AxisDraw(overlap={}, crossing={}),
+        )
+        sched = default_schedule(q, sweeps=20, restarts=2)
+        assert sched.t_initial == pytest.approx(t_initial)
+        assert sched.t_final == pytest.approx(t_final)
+        res = anneal(q, sched)
+        assert res.best_value == q.evaluate(res.best_bits)
+
 
 class TestExhaustive:
     def test_single_variable_closed_form(self):
