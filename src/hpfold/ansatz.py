@@ -1,9 +1,9 @@
 """Exact statevector simulation of a hardware-efficient ansatz.
 
-The circuit alternates single-qubit rotation layers (RY then RZ on every
-qubit) with a chain of CNOT entanglers, ending on a final rotation layer:
-``reps`` entangling blocks give ``reps + 1`` rotation layers and therefore
-2 * n * (reps + 1) parameters.
+The circuit alternates rotation layers (RY then RZ on every qubit) with a
+chain of CNOT entanglers: ``reps`` entangling blocks between ``reps + 1``
+layers. The final layer is RY only, because an RZ just before measurement
+changes no probability; that leaves n * (2 * reps + 1) parameters.
 
 Qubit i is bit i of the basis-state index (little-endian), matching the
 bitstring order used everywhere else in the package.
@@ -12,6 +12,7 @@ bitstring order used everywhere else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class AnsatzSpec:
 
     @property
     def n_params(self) -> int:
-        return 2 * self.n_qubits * (self.reps + 1)
+        return self.n_qubits * (2 * self.reps + 1)
 
     def entangler_pairs(self) -> list[tuple[int, int]]:
         pairs = [(i, i + 1) for i in range(self.n_qubits - 1)]
@@ -50,34 +51,27 @@ class AnsatzSpec:
         return pairs
 
 
-def _apply_ry(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
+def _apply_ry(state: np.ndarray, qubit: int, theta: float) -> None:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     view = state.reshape(-1, 2, 1 << qubit)
     a0 = view[:, 0, :].copy()
     a1 = view[:, 1, :]
     view[:, 0, :] = c * a0 - s * a1
     view[:, 1, :] = s * a0 + c * a1
-    return state
 
 
-def _apply_rz(state: np.ndarray, qubit: int, phi: float) -> np.ndarray:
-    view = state.reshape(-1, 2, 1 << qubit)
-    view[:, 0, :] *= np.exp(-0.5j * phi)
-    view[:, 1, :] *= np.exp(0.5j * phi)
-    return state
-
-
-def _apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    idx = np.arange(state.shape[0])
-    flipped = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    return state[flipped]
+def _product(amplitudes: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Kron of the 2-vectors ``amplitudes[q]`` after RZ(``phi[q]``); qubit q is bit q."""
+    factors = amplitudes * np.exp(0.5j * np.outer(phi, [-1.0, 1.0]))
+    return reduce(lambda state, factor: np.kron(factor, state), factors, np.ones(1, complex))
 
 
 def simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     """Amplitude vector of the ansatz state for the given parameters.
 
     Parameter order: for each rotation layer, all RY angles (qubit 0..n-1)
-    followed by all RZ angles.
+    followed by all RZ angles, n * (2 * reps + 1) in all. The final layer
+    has no RZ angles: phases just before measurement change no probability.
     """
     params = np.asarray(params, dtype=float)
     if params.shape != (spec.n_params,):
@@ -85,20 +79,23 @@ def simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
             f"expected {spec.n_params} parameters, got shape {params.shape}"
         )
     n = spec.n_qubits
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
+    angles = params.reshape(2 * spec.reps + 1, n)
+    ry, rz = angles[0::2], angles[1::2]
+    state = _product(np.stack([np.cos(ry[0] / 2), np.sin(ry[0] / 2)], axis=1), rz[0])
 
-    pos = 0
-    for layer in range(spec.reps + 1):
+    # The CNOT chain moves amplitude source[idx] to idx. The linear chain sets
+    # bit q to the XOR of bits 0..q; the circular chain's closing CNOT (n-1, 0)
+    # acts last, so it is undone first.
+    source = np.arange(1 << n)
+    if spec.entangler == "circular" and n > 2:
+        source ^= (source >> (n - 1)) & 1
+    source ^= (source << 1) & ((1 << n) - 1)
+    for layer in range(1, spec.reps + 1):
+        state = state[source]
         for q in range(n):
-            state = _apply_ry(state, q, params[pos + q])
-        pos += n
-        for q in range(n):
-            state = _apply_rz(state, q, params[pos + q])
-        pos += n
+            _apply_ry(state, q, ry[layer, q])
         if layer < spec.reps:
-            for c, t in spec.entangler_pairs():
-                state = _apply_cnot(state, c, t)
+            state *= _product(np.ones((n, 2)), rz[layer])
     return state
 
 

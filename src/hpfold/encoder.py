@@ -530,7 +530,10 @@ def qubo_to_json(q: QuboProblem, sequence: str | None = None) -> str:
 
 def qubo_from_json(text: str) -> QuboProblem:
     """Reload a problem written by ``qubo_to_json``; malformed entries raise ValueError."""
-    doc = json.loads(text)
+    def reject(constant: str):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    doc = json.loads(text, parse_constant=reject)
     meta = doc["metadata"]
     layout = VariableLayout(
         n_beads=meta["n_beads"],

@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .ansatz import QUBIT_BUDGET
 from .encoder import (
     PenaltyConfig,
     QuboProblem,
@@ -37,7 +36,7 @@ from .solvers import (
     SolveResult,
     VqeSettings,
     anneal,
-    check_vqe_budget,
+    check_vqe_settings,
     default_schedule,
     exhaustive,
     postselect,
@@ -173,13 +172,15 @@ def solve_sequence(cfg: RunConfig) -> PipelineResult:
     """Run the draw ensemble and pick the overall best conformation."""
     seq = model.parse_sequence(cfg.sequence, weights=cfg.weights)
     layout = VariableLayout(n_beads=len(seq), first_turn_fixed=cfg.fix_first_turn)
-    budget = {"exhaustive": EXHAUSTIVE_VARIABLE_BUDGET, "vqe": QUBIT_BUDGET}.get(cfg.solver)
-    if budget is not None and layout.n_vars > budget:
+    if cfg.solver == "exhaustive" and layout.n_vars > EXHAUSTIVE_VARIABLE_BUDGET:
         raise ValueError(
-            f"{layout.n_vars} variables exceed the {cfg.solver} budget of {budget}"
+            f"{layout.n_vars} variables exceed the exhaustive budget of {EXHAUSTIVE_VARIABLE_BUDGET}"
         )
-    if cfg.solver == "vqe":
-        check_vqe_budget(AnsatzSpec(n_qubits=layout.n_vars, reps=cfg.reps), cfg.max_evals)
+    if cfg.solver == "vqe":  # AnsatzSpec enforces the qubit budget
+        check_vqe_settings(
+            AnsatzSpec(n_qubits=layout.n_vars, reps=cfg.reps),
+            VqeSettings(max_evals=cfg.max_evals, initial_params=cfg.resume_params),
+        )
     penalties = calibrate_penalties(seq, cfg.lambda3_hint, cfg.lambda_overrides)
 
     tasks = [(seq, layout, penalties, cfg, d) for d in range(cfg.draws)]

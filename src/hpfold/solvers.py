@@ -221,11 +221,15 @@ class VqeSettings:
     initial_params: Optional[tuple[float, ...]] = None
 
 
-def check_vqe_budget(spec: AnsatzSpec, max_evals: int) -> None:
-    """Reject a budget too small for one simplex over the ansatz parameters."""
-    if spec.n_params and max_evals < spec.n_params + 2:
+def check_vqe_settings(spec: AnsatzSpec, settings: VqeSettings) -> None:
+    """Reject resume parameters of the wrong shape or a budget below one simplex."""
+    shape = None if settings.initial_params is None else np.shape(settings.initial_params)
+    if shape not in (None, (spec.n_params,)):
+        raise ValueError(f"resume parameters have shape {shape}, expected ({spec.n_params},)")
+    if spec.n_params and settings.max_evals < spec.n_params + 2:
         raise ValueError(
-            f"max_evals {max_evals} cannot fit one simplex of {spec.n_params + 2} evaluations"
+            f"max_evals {settings.max_evals} cannot fit one simplex of "
+            f"{spec.n_params + 2} evaluations"
         )
 
 
@@ -242,22 +246,18 @@ def vqe_statevector(
     (``ising.basis_energies``). With ``shots = 0`` the objective is the CVaR
     of the exact basis distribution; otherwise each evaluation draws a fresh
     multinomial sample. A Nelder-Mead simplex search runs under a total
-    evaluation budget (see ``check_vqe_budget``) and restarts from a perturbed
+    evaluation budget (see ``check_vqe_settings``) and restarts from a perturbed
     best point whenever it converges early; with no parameters it evaluates
     once. Returns the sampled population at the best parameters.
     """
     n = spec.n_qubits
     if np.shape(energies) != (1 << n,):
         raise ValueError(f"{np.size(energies)} basis energies for {n} qubits")
-    check_vqe_budget(spec, settings.max_evals)
+    check_vqe_settings(spec, settings)
     rng = np.random.default_rng(settings.seed)
 
     if settings.initial_params is not None:
         x0 = np.asarray(settings.initial_params, dtype=float)
-        if x0.shape != (spec.n_params,):
-            raise ValueError(
-                f"resume parameters have shape {x0.shape}, expected ({spec.n_params},)"
-            )
     else:
         x0 = random_initial_params(spec, rng)
 
@@ -290,9 +290,7 @@ def vqe_statevector(
             method="Nelder-Mead",
             options={"maxfev": budget, "xatol": 1e-4, "fatol": 1e-6},
         )
-        start = state["best_params"] + RESTART_SCALE * rng.uniform(
-            -np.pi, np.pi, size=spec.n_params
-        )
+        start = state["best_params"] + RESTART_SCALE * random_initial_params(spec, rng)
 
     final_probs = probabilities(simulate(spec, state["best_params"]))
     if shots > 0:

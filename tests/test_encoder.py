@@ -411,17 +411,21 @@ class TestQuboJson:
         assert q2.rng_seed == 13
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda doc: doc["quadratic"].append([3, 3, 100.0]),
-            lambda doc: doc["linear"].append([-1, 5.0]),
-            lambda doc: doc["linear"].append([doc["linear"][0][0], 1.0]),
-            lambda doc: doc.update(variables=99),
-            lambda doc: doc["quadratic"].append([0, doc["variables"], 1.0]),
+            (lambda doc: doc["quadratic"].append([3, 3, 100.0]), "quadratic entry"),
+            (lambda doc: doc["linear"].append([-1, 5.0]), "linear entry"),
+            (lambda doc: doc["linear"].append([doc["linear"][0][0], 1.0]), "repeated linear"),
+            (lambda doc: doc.update(variables=99), "99 variables declared"),
+            (lambda doc: doc["quadratic"].append([0, doc["variables"], 1.0]), "quadratic entry"),
+            (lambda doc: doc.update(constant=float("nan")), "non-finite JSON constant NaN"),
+            (lambda doc: doc["linear"][0].__setitem__(-1, float("nan")), "constant NaN"),
+            (lambda doc: doc["quadratic"][0].__setitem__(-1, float("inf")), "constant Infinity"),
         ],
-        ids=["diagonal-quadratic", "negative-index", "duplicate", "variable-count", "out-of-range"],
+        ids=["diagonal-quadratic", "negative-index", "duplicate", "variable-count", "out-of-range",
+             "nan-constant", "nan-linear", "infinity-quadratic"],
     )
-    def test_malformed_entries_rejected(self, edit):
+    def test_malformed_entries_rejected(self, edit, message):
         seq = parse_sequence("HPPH")
         layout = VariableLayout(4)
         draw = draw_axes(np.random.default_rng(3), layout)
@@ -429,7 +433,7 @@ class TestQuboJson:
         doc = json.loads(qubo_to_json(q, sequence="HPPH"))
         qubo_from_json(json.dumps(doc))
         edit(doc)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             qubo_from_json(json.dumps(doc))
 
     def test_dense_matches_polynomial(self):

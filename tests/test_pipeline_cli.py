@@ -177,7 +177,7 @@ class TestPipeline:
         assert result.best.selected.feasible
         assert "params.json" in written
         params = json.loads(Path(written["params.json"]).read_text())
-        assert len(params) == 2 * 6 * 2  # qubits=6, reps=1
+        assert len(params) == 6 * 3  # qubits=6, reps=1
 
     def test_contacts_never_exceed_bound(self, tmp_path):
         for seed in range(3):
@@ -454,7 +454,7 @@ class TestCli:
             ["--draws", "0"],
             ["--seq", "HPHPHPH", "--solver", "exhaustive"],  # 30 variables
             ["--seq", "HPHPHP", "--solver", "vqe"],  # 24 qubits
-            ["--solver", "vqe", "--max-evals", "3"],  # below one simplex of 50
+            ["--solver", "vqe", "--max-evals", "3"],  # below one simplex of 38
         ],
     )
     def test_bad_config_exits_before_any_draw(self, flags, tmp_path, monkeypatch, capsys):
@@ -465,6 +465,21 @@ class TestCli:
         argv = ["--seq", "HPPH", "--out-dir", str(tmp_path / "out")] + flags
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_old_length_resume_params_exit_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        # 48 = 2 * 12 * (1 + 1), the length before the final RZ layer was dropped
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps([0.0] * 48))
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(hp.pipeline, "draw_axes", no_draws)
+        argv = ["--seq", "HPPH", "--solver", "vqe", "--resume-params", str(params),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "resume parameters have shape (48,), expected (36,)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:sequence has no non-bonded H pairs")

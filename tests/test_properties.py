@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import hpfold as hp
 from hpfold import ising
-from hpfold.ansatz import AnsatzSpec
+from hpfold.ansatz import AnsatzSpec, probabilities, simulate
 from conftest import problem_from_polynomial
 from hpfold import encoder
 from hpfold.encoder import VariableLayout
@@ -224,6 +224,61 @@ def test_assemble_matches_the_builders(case):
     scale = max(map(abs, spec.values()), default=0.0)
     for key, coeff in spec.items():
         assert abs(got[key] - coeff) <= 1e-12 * scale
+
+
+def reference_simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
+    """Gate-by-gate ansatz state: from |0...0>, each of the reps + 1 layers applies
+    RY then RZ on every qubit, with the CNOTs of ``spec.entangler_pairs()``
+    between layers. Takes 2n(reps + 1) angles, the final RZ layer included."""
+    n = spec.n_qubits
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    idx = np.arange(1 << n)
+    angles = np.asarray(params, dtype=float).reshape(spec.reps + 1, 2, n)
+    for layer, (ry, rz) in enumerate(angles):
+        for q in range(n):
+            view = state.reshape(-1, 2, 1 << q)
+            a0, a1 = view[:, 0, :].copy(), view[:, 1, :].copy()
+            c, s = np.cos(ry[q] / 2), np.sin(ry[q] / 2)
+            view[:, 0, :], view[:, 1, :] = c * a0 - s * a1, s * a0 + c * a1
+        for q in range(n):
+            view = state.reshape(-1, 2, 1 << q)
+            view[:, 0, :] *= np.exp(-0.5j * rz[q])
+            view[:, 1, :] *= np.exp(0.5j * rz[q])
+        if layer < spec.reps:
+            for control, target in spec.entangler_pairs():
+                state = state[np.where((idx >> control) & 1, idx ^ (1 << target), idx)]
+    return state
+
+
+ansatz_specs = st.builds(
+    AnsatzSpec,
+    n_qubits=st.integers(0, 10),
+    reps=st.sampled_from([1, 2]),
+    entangler=st.sampled_from(["linear", "circular"]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=ansatz_specs, seed=st.integers(0, 2**32 - 1))
+def test_simulate_matches_the_gate_by_gate_circuit(spec, seed):
+    params = np.random.default_rng(seed).uniform(-np.pi, np.pi, spec.n_params)
+    expected = reference_simulate(spec, np.concatenate([params, np.zeros(spec.n_qubits)]))
+    assert np.abs(simulate(spec, params) - expected).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=ansatz_specs, seed=st.integers(0, 2**32 - 1))
+def test_final_rz_layer_changes_no_probability(spec, seed):
+    # why the ansatz has no final RZ angles
+    rng = np.random.default_rng(seed)
+    params = rng.uniform(-np.pi, np.pi, spec.n_params)
+
+    def probs(final_rz):
+        return probabilities(reference_simulate(spec, np.concatenate([params, final_rz])))
+
+    random_rz = rng.uniform(-np.pi, np.pi, spec.n_qubits)
+    assert np.abs(probs(random_rz) - probs(np.zeros(spec.n_qubits))).max() <= 1e-12
 
 
 @pytest.fixture(scope="module")

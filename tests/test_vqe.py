@@ -21,8 +21,8 @@ def energies_of(poly, n):
 
 class TestAnsatz:
     def test_parameter_count(self):
-        assert AnsatzSpec(n_qubits=4, reps=1).n_params == 16
-        assert AnsatzSpec(n_qubits=6, reps=2).n_params == 36
+        assert AnsatzSpec(n_qubits=4, reps=1).n_params == 12
+        assert AnsatzSpec(n_qubits=6, reps=2).n_params == 30
 
     def test_validation(self):
         with pytest.raises(ValueError):
