@@ -114,27 +114,44 @@ def basis_energies(q: QuboProblem) -> np.ndarray:
     return np.concatenate([part for _, part in basis_energy_chunks(q)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Distinct bitstrings with multiplicities and their energies."""
+    """Distinct bitstrings, the rows of a (k, n) 0/1 matrix, with counts >= 1 and
+    energies; the set keeps read-only uint8, int64 and float64 copies."""
 
-    entries: tuple[tuple[tuple[int, ...], int, float], ...]
-    shots: int
+    bits: np.ndarray
+    counts: np.ndarray
+    energies: np.ndarray
 
     def __post_init__(self):
-        total = 0
-        for bits, count, _energy in self.entries:
-            if count < 1:
-                raise ValueError("multiplicities must be >= 1")
-            total += count
-        if total != self.shots:
-            raise ValueError(f"multiplicities sum to {total}, not shots={self.shots}")
+        bits = np.array(self.bits, dtype=np.uint8)
+        counts = np.array(self.counts, dtype=np.int64)
+        energies = np.array(self.energies, dtype=float)
+        if bits.ndim != 2 or np.any(bits > 1):
+            raise ValueError(f"expected a (k, n) 0/1 bit matrix, got shape {bits.shape}")
+        if counts.shape != (len(bits),) or energies.shape != counts.shape:
+            raise ValueError(f"{len(bits)} rows, {counts.size} counts, {energies.size} energies")
+        if np.any(counts < 1):
+            raise ValueError("multiplicities must be >= 1")
+        if len(np.unique(bits, axis=0)) != len(bits):
+            raise ValueError("bitstrings must be distinct")
+        bits.flags.writeable = counts.flags.writeable = energies.flags.writeable = False
+        for name, value in (("bits", bits), ("counts", counts), ("energies", energies)):
+            object.__setattr__(self, name, value)
 
-    def energies(self) -> np.ndarray:
-        return np.array([e for _, _, e in self.entries])
+    def __reduce__(self):
+        # Rebuild on unpickling, so the arrays stay read-only.
+        return SampleSet, (self.bits, self.counts, self.energies)
 
-    def min_energy(self) -> float:
-        return float(min(e for _, _, e in self.entries))
+    @property
+    def shots(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, ...], int, float], ...]:
+        """(bitstring, count, energy) per row, for reading and serializing."""
+        rows = map(tuple, self.bits.tolist())
+        return tuple(zip(rows, self.counts.tolist(), self.energies.tolist()))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -148,27 +165,18 @@ class SampleSet:
         )
 
 
-def cvar(samples, alpha: float, weights=None) -> float:
+def cvar(energies, alpha: float, weights=None) -> float:
     """Mean of the lowest alpha-tail of an energy distribution.
 
-    ``samples`` is a :class:`SampleSet` or a sequence of energies; unweighted
-    sequences can carry explicit ``weights`` (counts or probabilities). The
-    tail mass is alpha times the total weight and the boundary item enters
-    with fractional weight, so the estimate is continuous in alpha and
-    alpha = 1 recovers the plain mean.
+    ``energies`` is an array of energies and ``weights``, if given, an array
+    of the same shape of counts or probabilities. The tail mass is alpha times
+    the total weight and the boundary item enters with fractional weight, so
+    the estimate is continuous in alpha and alpha = 1 recovers the plain mean.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if isinstance(samples, SampleSet):
-        energies = samples.energies()
-        w = np.array([c for _, c, _ in samples.entries], dtype=float)
-    else:
-        energies = np.asarray(list(samples), dtype=float)
-        w = (
-            np.ones(energies.shape[0])
-            if weights is None
-            else np.asarray(list(weights), dtype=float)
-        )
+    energies = np.asarray(energies, dtype=float)
+    w = np.ones(energies.shape) if weights is None else np.asarray(weights, dtype=float)
     if energies.size == 0:
         raise ValueError("empty sample set")
     if w.shape != energies.shape or np.any(w <= 0):

@@ -85,8 +85,8 @@ class SolveResult:
     contacts: Optional[int] = None
     feasible: Optional[bool] = None
     report: Optional[model.FeasibilityReport] = None
-    # for annealing: iteration at which each sample entry first appeared
-    sample_first_seen: Optional[tuple[int, ...]] = None
+    # for annealing: sweep at which each sample row first appeared
+    sample_first_seen: Optional[np.ndarray] = None
 
 
 def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
@@ -147,12 +147,7 @@ def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
     np.minimum.at(uniq_first, inverse, all_sweeps)
     uniq_counts = np.bincount(inverse, minlength=uniq.shape[0])
     order = np.argsort(uniq_energy, kind="stable")[:KEPT_SAMPLES]
-    entries = tuple(
-        (tuple(int(b) for b in uniq[i]), int(uniq_counts[i]), float(uniq_energy[i]))
-        for i in order
-    )
-    samples = SampleSet(entries=entries, shots=int(uniq_counts[order].sum()))
-    first_seen = tuple(int(uniq_first[i]) for i in order)
+    samples = SampleSet(uniq[order], uniq_counts[order], uniq_energy[order])
 
     winner = int(np.argmin(best_energy))
     return SolveResult(
@@ -169,7 +164,7 @@ def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
             "restarts": sched.restarts,
             "sweeps_to_best": int(best_sweep[winner]),
         },
-        sample_first_seen=first_seen,
+        sample_first_seen=uniq_first[order],
     )
 
 
@@ -200,15 +195,14 @@ def exhaustive(q: QuboProblem, keep: int = 4096) -> SolveResult:
     top_idx = top_idx[order]
     top_energy = top_energy[order]
 
-    bits = ((top_idx[:, None] >> np.arange(n)) & 1).tolist()
-    entries = tuple((tuple(b), 1, e) for b, e in zip(bits, top_energy.tolist()))
-    samples = SampleSet(entries=entries, shots=len(entries))
+    bits = (top_idx[:, None] >> np.arange(n)) & 1
+    samples = SampleSet(bits, np.ones(top_idx.size, dtype=np.int64), top_energy)
     return SolveResult(
-        best_bits=entries[0][0],
+        best_bits=tuple(bits[0].tolist()),
         best_value=float(top_energy[0]),
         samples=samples,
         trace=((0, float(top_energy[0]), float(top_energy[0])),),
-        provenance={"solver": "exhaustive", "states_scanned": 1 << n, "kept": len(entries)},
+        provenance={"solver": "exhaustive", "states_scanned": 1 << n, "kept": top_idx.size},
     )
 
 
@@ -222,10 +216,12 @@ class VqeSettings:
 
 
 def check_vqe_settings(spec: AnsatzSpec, settings: VqeSettings) -> None:
-    """Reject resume parameters of the wrong shape or a budget below one simplex."""
+    """Reject non-finite or wrong-shape resume parameters, or a budget below one simplex."""
     shape = None if settings.initial_params is None else np.shape(settings.initial_params)
     if shape not in (None, (spec.n_params,)):
         raise ValueError(f"resume parameters have shape {shape}, expected ({spec.n_params},)")
+    if shape is not None and not np.isfinite(settings.initial_params).all():
+        raise ValueError("resume parameters must be finite")
     if spec.n_params and settings.max_evals < spec.n_params + 2:
         raise ValueError(
             f"max_evals {settings.max_evals} cannot fit one simplex of "
@@ -263,16 +259,18 @@ def vqe_statevector(
 
     trace: list[tuple[int, float, float]] = []
     state = {"evals": 0, "best_value": np.inf, "best_params": x0.copy()}
+    # Weights are read in energy order, so cvar's stable sort finds them sorted.
+    by_energy = np.argsort(energies, kind="stable")
+    sorted_energies = energies[by_energy]
 
     def objective(params: np.ndarray) -> float:
         probs = probabilities(simulate(spec, params))
         if shots > 0:
-            counts = rng.multinomial(shots, probs / probs.sum())
-            nz = counts.nonzero()[0]
-            value = cvar(energies[nz], alpha, weights=counts[nz])
+            weights = rng.multinomial(shots, probs / probs.sum())[by_energy]
         else:
-            nz = probs.nonzero()[0]
-            value = cvar(energies[nz], alpha, weights=probs[nz])
+            weights = probs[by_energy]
+        nz = weights.nonzero()[0]
+        value = cvar(sorted_energies[nz], alpha, weights[nz])
         state["evals"] += 1
         if value < state["best_value"]:
             state["best_value"] = value
@@ -301,16 +299,13 @@ def vqe_statevector(
         kept = np.argsort(-final_probs, kind="stable")[:KEPT_SAMPLES]
         kept = kept[final_probs[kept] > 1e-12]
         counts = np.ones(kept.size, dtype=int)
-    entries = tuple(sorted(
-        (tuple((int(s) >> i) & 1 for i in range(n)), int(c), float(energies[s]))
-        for s, c in zip(kept, counts)
-    ))
-    samples = SampleSet(entries=entries, shots=int(counts.sum()))
-
-    best_entry = min(samples.entries, key=lambda e: (e[2], e[0]))
+    bits, first = np.unique((kept[:, None] >> np.arange(n)) & 1, axis=0, return_index=True)
+    samples = SampleSet(bits, counts[first], energies[kept[first]])
+    # rows are in bitstring order, so the first lowest energy breaks ties by bits
+    best = int(np.argmin(samples.energies))
     return SolveResult(
-        best_bits=best_entry[0],
-        best_value=best_entry[2],
+        best_bits=tuple(bits[best].tolist()),
+        best_value=float(samples.energies[best]),
         samples=samples,
         trace=tuple(trace),
         provenance={
@@ -341,19 +336,14 @@ def postselect(
     break ties, so the outcome is independent of sample order). If nothing is
     feasible the least-violating state is returned with ``feasible=False``.
     """
-    merged: dict[tuple[int, ...], tuple[int, float]] = {}
-    for bits, count, energy in samples.entries:
-        if bits in merged:
-            merged[bits] = (merged[bits][0] + count, energy)
-        else:
-            merged[bits] = (count, energy)
-    ranked = sorted(merged.items(), key=lambda kv: (kv[1][1], kv[0]))[:top_k]
+    ranked = np.lexsort((*samples.bits.T[::-1], samples.energies))[:top_k]
 
     best_key = None
     best = None  # (bits, energy, report, conformation, contacts)
     fallback_key = None
     fallback = None
-    for bits, (_count, energy) in ranked:
+    for row, energy in zip(samples.bits[ranked].tolist(), samples.energies[ranked].tolist()):
+        bits = tuple(row)
         turns = model.decode_bitstring(bits, q.layout)
         report = model.validate(
             turns,

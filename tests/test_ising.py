@@ -118,15 +118,27 @@ class TestIsingEnergy:
 
 class TestSampleSet:
     def test_invariants(self):
-        ss = SampleSet(entries=(((0, 1), 3, -1.0), ((1, 1), 1, 2.0)), shots=4)
-        assert ss.min_energy() == -1.0
-        with pytest.raises(ValueError):
-            SampleSet(entries=(((0,), 0, 1.0),), shots=0)
-        with pytest.raises(ValueError):
-            SampleSet(entries=(((0,), 2, 1.0),), shots=3)
+        ss = SampleSet([[0, 1], [1, 1]], [3, 1], [-1.0, 2.0])
+        assert ss.shots == 4
+        with pytest.raises(ValueError, match="multiplicities"):
+            SampleSet([[0]], [0], [1.0])
+        with pytest.raises(ValueError, match="distinct"):
+            SampleSet([[0, 1], [0, 1]], [1, 2], [1.0, 1.0])
+        with pytest.raises(ValueError, match="2 rows, 1 counts"):
+            SampleSet([[0], [1]], [1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="1 counts, 2 energies"):
+            SampleSet([[0]], [1], [1.0, 2.0])
+
+    def test_read_only(self):
+        ss = SampleSet([[0, 1]], [2], [-1.0])
+        assert ss.bits.dtype == np.uint8 and ss.counts.dtype == np.int64
+        for arr in (ss.bits, ss.counts, ss.energies):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert ss.entries == (((0, 1), 2, -1.0),)
 
     def test_json(self):
-        ss = SampleSet(entries=(((0, 1, 1), 2, -3.5),), shots=2)
+        ss = SampleSet([[0, 1, 1]], [2], [-3.5])
         doc = json.loads(ss.to_json())
         assert doc == [{"bitstring": "011", "count": 2, "energy": -3.5}]
 
@@ -146,9 +158,9 @@ class TestCvar:
         assert cvar([0.0, 1.0, 2.0], 0.5) == pytest.approx((0.0 + 0.5) / 1.5)
 
     def test_sampleset_multiplicity(self):
-        ss = SampleSet(entries=(((0,), 3, 0.0), ((1,), 1, 4.0)), shots=4)
-        assert cvar(ss, 1.0) == 1.0
-        assert cvar(ss, 0.75) == 0.0
+        energies, counts = np.array([0.0, 4.0]), np.array([3, 1])
+        assert cvar(energies, 1.0, counts) == 1.0
+        assert cvar(energies, 0.75, counts) == 0.0
 
     def test_weighted_probabilities(self):
         assert cvar([0.0, 2.0], 1.0, weights=[0.25, 0.75]) == 1.5

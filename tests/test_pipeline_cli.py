@@ -235,6 +235,19 @@ class TestPipeline:
         assert "result.json" in written
         assert ("qubo.json" in written) == cfg.export_qubo
 
+    @pytest.mark.parametrize(
+        "solver,extra",
+        [("anneal", {"sweeps": 50, "restarts": 3}), ("exhaustive", {}),
+         ("vqe", {"max_evals": 60})],
+    )
+    def test_library_prints_nothing(self, solver, extra, tmp_path, capsys):
+        # only cli.main writes to stdout; a benchmark reads its last line
+        cfg = RunConfig(
+            sequence="HPPH", solver=solver, draws=2, seed=5, out_dir=str(tmp_path), **extra
+        )
+        hp.emit(solve_sequence(cfg))
+        assert capsys.readouterr().out == ""
+
 
 class TestCli:
     def test_happy_path(self, tmp_path, capsys):
@@ -480,6 +493,23 @@ class TestCli:
                 "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 2
         assert "resume parameters have shape (48,), expected (36,)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_resume_params_exit_before_any_draw(
+        self, value, tmp_path, monkeypatch, capsys
+    ):
+        params = tmp_path / "params.json"
+        params.write_text("[" + ", ".join([value] + ["0.0"] * 17) + "]")  # 18 for HPH
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(hp.pipeline, "draw_axes", no_draws)
+        argv = ["--seq", "HPH", "--solver", "vqe", "--resume-params", str(params),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "resume parameters must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:sequence has no non-bonded H pairs")

@@ -20,11 +20,13 @@ import hpfold as hp
 from hpfold import ising
 from hpfold.ansatz import AnsatzSpec, probabilities, simulate
 from conftest import problem_from_polynomial
-from hpfold import encoder
+from hpfold import encoder, model
 from hpfold.encoder import VariableLayout
 from hpfold.model import hydrophobic_pairs, parse_sequence
 from hpfold.polynomial import BinaryPolynomial
-from hpfold.solvers import VqeSettings, anneal, default_schedule, exhaustive, vqe_statevector
+from hpfold.solvers import (
+    VqeSettings, anneal, default_schedule, exhaustive, postselect, vqe_statevector,
+)
 
 REAL = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 
@@ -135,6 +137,129 @@ def test_sample_energies_are_state_energies(q, seed, shots):
         for bits, _count, energy in result.samples.entries:
             assert energy == q.evaluate(bits)
         assert result.best_value == q.evaluate(result.best_bits)
+
+
+def tuple_entries(samples):
+    """(bits, count, energy) tuples built element by element from the arrays."""
+    return [
+        (tuple(int(b) for b in row), int(c), float(e))
+        for row, c, e in zip(samples.bits, samples.counts, samples.energies)
+    ]
+
+
+def tuple_json(entries):
+    """The samples.json serializer over (bits, count, energy) tuples."""
+    return json.dumps(
+        [
+            {"bitstring": "".join(map(str, bits)), "count": count, "energy": energy}
+            for bits, count, energy in entries
+        ],
+        indent=2,
+        sort_keys=True,
+        allow_nan=False,
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    q=quadratic_problems(coeff=REAL),
+    seed=st.integers(0, 2**32 - 1),
+    shots=st.sampled_from([0, 64]),
+)
+def test_samples_json_matches_the_tuple_serializer(q, seed, shots):
+    spec = AnsatzSpec(n_qubits=q.n_vars, reps=1)
+    vqe = vqe_statevector(
+        ising.basis_energies(q), spec, VqeSettings(max_evals=spec.n_params + 2, seed=seed),
+        shots=shots,
+    )
+    entries = tuple_entries(vqe.samples)
+    assert entries == sorted(entries)  # VQE rows come in bitstring order
+    results = [
+        anneal(q, default_schedule(q, sweeps=30, restarts=3, seed=seed)),
+        exhaustive(q, keep=50),
+        vqe,
+    ]
+    for result in results:
+        samples = result.samples
+        entries = tuple_entries(samples)
+        assert samples.to_json() == tuple_json(entries)
+        assert list(samples.entries) == entries
+        assert samples.shots == sum(c for _, c, _ in entries)
+        # a pickled copy, as worker processes return it, is the same and read-only
+        back = pickle.loads(pickle.dumps(samples))
+        assert back.to_json() == samples.to_json()
+        with pytest.raises(ValueError):
+            back.counts[0] = 1
+
+
+def merged_ranking(entries, top_k):
+    """Rank (bits, count, energy) tuples by merging them per bitstring and
+    sorting by (energy, bits); the ``top_k`` first are the candidates."""
+    merged = {}
+    for bits, count, energy in entries:
+        merged[bits] = (merged[bits][0] + count, energy) if bits in merged else (count, energy)
+    return sorted(merged.items(), key=lambda kv: (kv[1][1], kv[0]))[:top_k]
+
+
+def reference_choice(ranked, q, seq):
+    """The most-contact feasible candidate, ties by (energy, bits); if none is
+    feasible, the least-violating one, ties by (energy, bits)."""
+    feasible, fallback = [], []
+    for bits, (_count, energy) in ranked:
+        turns = model.decode_bitstring(bits, q.layout)
+        report = model.validate(
+            turns, seq, pair_exclusion=model.pair_exclusions(bits, q.layout)
+        )
+        contacts = model.count_contacts(model.turns_to_coordinates(turns), seq)
+        if report.feasible:
+            feasible.append((-contacts, energy, bits))
+        else:
+            fallback.append((report.violation_count(), energy, bits))
+    _, energy, bits = min(feasible) if feasible else min(fallback)
+    return bits, energy, bool(feasible)
+
+
+@pytest.fixture(scope="module")
+def folds():
+    """Per sequence: a folding QUBO and the bits of its 64 lowest-energy
+    states, many of them feasible."""
+    out = {}
+    for beads in ("HPH", "HPPH", "HHPH"):
+        seq = parse_sequence(beads)
+        layout = VariableLayout(len(seq))
+        q = encoder.assemble(
+            seq, layout, encoder.calibrate_penalties(seq),
+            encoder.draw_axes(np.random.default_rng(len(beads)), layout),
+        )
+        out[beads] = seq, q, np.array(exhaustive(q, keep=64).samples.bits)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(beads=st.sampled_from(["HPH", "HPPH", "HHPH"]), data=st.data())
+def test_postselect_matches_the_merged_ranking(folds, beads, data):
+    seq, q, low = folds[beads]
+    n = q.n_vars
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = np.concatenate([
+        low[rng.random(len(low)) < data.draw(st.floats(0.0, 1.0))],
+        rng.integers(0, 2, size=(data.draw(st.integers(0, 40)), n)),
+    ])
+    bits = np.unique(rows, axis=0)
+    if len(bits) == 0:
+        bits = low[:1]
+    k = len(bits)
+    perm = rng.permutation(k)
+    # few distinct energies, so many rows tie
+    samples = ising.SampleSet(
+        bits[perm], rng.integers(1, 5, size=k), rng.integers(-2, 3, size=k) / 2.0
+    )
+    top_k = data.draw(st.integers(1, 2 * k))
+    ranked = merged_ranking(tuple_entries(samples), top_k)
+    sel = postselect(samples, q, seq, top_k=top_k)
+    bits, energy, feasible = reference_choice(ranked, q, seq)
+    assert sel.provenance["candidates"] == len(ranked) == min(top_k, k)
+    assert (sel.best_bits, sel.best_value, sel.feasible) == (bits, energy, feasible)
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,8 +26,8 @@ def toy_problem(poly, n_vars):
 
 def sample_set(q, counts):
     """Samples with the given multiplicities, each at its problem energy."""
-    entries = tuple((bits, c, q.evaluate(bits)) for bits, c in sorted(counts.items()))
-    return SampleSet(entries=entries, shots=sum(counts.values()))
+    bits = np.array(list(counts), dtype=np.uint8)
+    return SampleSet(bits, list(counts.values()), q.energies(bits))
 
 
 def folding_problem(beads, seed=0, fixed=True):
@@ -169,9 +169,9 @@ class TestPostselect:
     def test_order_invariance(self):
         seq, q = folding_problem("HPHH", seed=14)
         res = exhaustive(q, keep=200)
-        entries = res.samples.entries
-        forward = SampleSet(entries=entries, shots=res.samples.shots)
-        backward = SampleSet(entries=tuple(reversed(entries)), shots=res.samples.shots)
+        ss = res.samples
+        forward = SampleSet(ss.bits, ss.counts, ss.energies)
+        backward = SampleSet(ss.bits[::-1], ss.counts[::-1], ss.energies[::-1])
         s1 = postselect(forward, q, seq)
         s2 = postselect(backward, q, seq)
         assert s1.best_bits == s2.best_bits
