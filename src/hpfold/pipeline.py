@@ -237,6 +237,8 @@ def result_document(result: PipelineResult) -> dict:
                 "feasible": out.selected.feasible,
                 "contacts": out.selected.contacts,
                 "energy": out.selected.best_value,
+                "candidates": out.selected.provenance["candidates"],
+                **out.selected.census,
             }
             for out in result.draws
         ],

@@ -3,7 +3,7 @@
 Three routes to low-energy bitstrings: a vectorized single-flip Metropolis
 annealer, an exact exhaustive scan for small variable counts, and a CVaR
 objective variational loop over an exact statevector. Post-selection then
-decodes sampled bitstrings, validates the geometry, and keeps the
+checks every sampled bitstring's geometry in one array pass and keeps the
 maximum-contact feasible conformation.
 """
 
@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 
 from . import model
 from .ansatz import AnsatzSpec, probabilities, random_initial_params, simulate
-from .encoder import QuboProblem
+from .encoder import QuboProblem, VariableLayout, crossing_pairs, overlap_pairs
 from .ising import SampleSet, basis_energy_chunks, cvar
 
 EXHAUSTIVE_VARIABLE_BUDGET = 24
@@ -25,6 +25,10 @@ EXHAUSTIVE_VARIABLE_BUDGET = 24
 KEPT_SAMPLES = 4096
 # A simplex restart perturbs the best parameters uniformly within +-RESTART_SCALE * pi.
 RESTART_SCALE = 0.3
+# Per-candidate counts from candidate_counts, in column order; all but the last are violations.
+CANDIDATE_COUNTS = ("continuity", "overlap", "crossing", "pair_exclusion", "contacts")
+# Candidate rows checked at once; bounds the memory of the pair gathers.
+COUNT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,8 @@ class SolveResult:
     report: Optional[model.FeasibilityReport] = None
     # for annealing: sweep at which each sample row first appeared
     sample_first_seen: Optional[np.ndarray] = None
+    # after post-selection: feasible candidates and rejected candidates per constraint type
+    census: Optional[dict] = None
 
 
 def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
@@ -322,6 +328,48 @@ def vqe_statevector(
     )
 
 
+def candidate_counts(
+    bits: np.ndarray, layout: VariableLayout, seq: model.HpSequence, allow_steric: bool = True
+) -> np.ndarray:
+    """Violations of each constraint and contacts, per row of a ``(k, n)`` bit matrix.
+
+    Columns follow ``CANDIDATE_COUNTS``. Each equals, for the decoded row, the
+    length of the matching ``model.validate`` list (with ``model.pair_exclusions``
+    merged in) or ``model.count_contacts``.
+    """
+    n_beads = layout.n_beads
+    (ov_a, ov_b), (cr_a, cr_b), (hh_a, hh_b) = (
+        np.array(pairs, dtype=np.intp).reshape(-1, 2).T - 1
+        for pairs in (
+            overlap_pairs(n_beads), crossing_pairs(n_beads), model.hydrophobic_pairs(seq)
+        )
+    )
+    # coordinates and bond sums stay within +-2N, so base 4N+1 packs them uniquely
+    base = 4 * n_beads + 1
+    place = np.array([base * base, base, 1])
+    out = np.empty((len(bits), len(CANDIDATE_COUNTS)), dtype=np.int64)
+    for start in range(0, len(bits), COUNT_BLOCK):
+        block = bits[start : start + COUNT_BLOCK]
+        rows = len(block)
+        halves = block.reshape(rows, len(layout.encoded_turns), 3, 2).astype(np.int64)
+        turns = halves[..., 0] - halves[..., 1]
+        if layout.first_turn_fixed:
+            fixed = np.broadcast_to(layout.fixed_turn, (rows, 1, 3))
+            turns = np.concatenate([fixed, turns], axis=1)
+        moved = np.count_nonzero(turns, axis=2)
+        coords = np.zeros((rows, n_beads, 3), dtype=np.int64)
+        np.cumsum(turns, axis=1, out=coords[:, 1:])
+        keys = coords @ place
+        bond_keys = keys[:, 1:] + keys[:, :-1]
+        counts = out[start : start + rows]
+        counts[:, 0] = np.sum((moved == 0) | ((moved == 3) & (not allow_steric)), axis=1)
+        counts[:, 1] = np.sum(keys[:, ov_a] == keys[:, ov_b], axis=1)
+        counts[:, 2] = np.sum(bond_keys[:, cr_a] == bond_keys[:, cr_b], axis=1)
+        counts[:, 3] = np.sum(halves[..., 0] & halves[..., 1], axis=(1, 2))
+        counts[:, 4] = np.sum(np.abs(coords[:, hh_a] - coords[:, hh_b]).max(axis=2) == 1, axis=1)
+    return out
+
+
 def postselect(
     samples: SampleSet,
     q: QuboProblem,
@@ -331,46 +379,37 @@ def postselect(
 ) -> SolveResult:
     """Pick the best geometrically valid conformation from a sample population.
 
-    Keeps the ``top_k`` lowest-energy distinct bitstrings, decodes each, and
-    returns the maximum-contact fully feasible one (energy, then bitstring,
-    break ties, so the outcome is independent of sample order). If nothing is
-    feasible the least-violating state is returned with ``feasible=False``.
+    The ``top_k`` first distinct bitstrings by (energy, bitstring) are the
+    candidates, checked in one array pass (``candidate_counts``). The first
+    of them with the most contacts among the feasible ones wins, or, if none
+    is feasible, the first with the fewest violations (``feasible=False``):
+    the choice a scalar loop over the ``model`` oracle makes, independent of
+    sample order. Only the winner goes through that oracle, for its report.
+    ``census`` counts the feasible candidates and, per constraint type, the
+    candidates with at least one violation of it.
     """
     ranked = np.lexsort((*samples.bits.T[::-1], samples.energies))[:top_k]
-
-    best_key = None
-    best = None  # (bits, energy, report, conformation, contacts)
-    fallback_key = None
-    fallback = None
-    for row, energy in zip(samples.bits[ranked].tolist(), samples.energies[ranked].tolist()):
-        bits = tuple(row)
-        turns = model.decode_bitstring(bits, q.layout)
-        report = model.validate(
-            turns,
-            seq,
-            allow_steric=allow_steric,
-            pair_exclusion=model.pair_exclusions(bits, q.layout),
-        )
-        conf = model.turns_to_coordinates(turns)
-        if report.feasible:
-            contacts = model.count_contacts(conf, seq)
-            key = (-contacts, energy, bits)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (bits, energy, report, conf, contacts)
-        elif best_key is None:
-            key = (report.violation_count(), energy, bits)
-            if fallback_key is None or key < fallback_key:
-                fallback_key = key
-                fallback = (bits, energy, report, conf, model.count_contacts(conf, seq))
-
-    chosen = best if best is not None else fallback
-    if chosen is None:
+    if ranked.size == 0:
         raise ValueError("empty sample set")
-    bits, energy, report, conf, contacts = chosen
+    counts = candidate_counts(samples.bits[ranked], q.layout, seq, allow_steric)
+    violations = counts[:, :-1].sum(axis=1)
+    feasible = np.flatnonzero(violations == 0)
+    # argmax and argmin return the first extreme, i.e. ties go by (energy, bits)
+    pick = feasible[np.argmax(counts[feasible, -1])] if feasible.size else np.argmin(violations)
+
+    row = ranked[pick]
+    bits = tuple(samples.bits[row].tolist())
+    turns = model.decode_bitstring(bits, q.layout)
+    report = model.validate(
+        turns,
+        seq,
+        allow_steric=allow_steric,
+        pair_exclusion=model.pair_exclusions(bits, q.layout),
+    )
+    conf = model.turns_to_coordinates(turns)
     return SolveResult(
         best_bits=bits,
-        best_value=float(energy),
+        best_value=float(samples.energies[row]),
         samples=samples,
         trace=(),
         provenance={
@@ -380,7 +419,13 @@ def postselect(
             "allow_steric": allow_steric,
         },
         conformation=conf,
-        contacts=contacts,
+        contacts=model.count_contacts(conf, seq),
         feasible=report.feasible,
         report=report,
+        census={
+            "feasible_candidates": len(feasible),
+            "rejected": dict(
+                zip(CANDIDATE_COUNTS[:-1], np.count_nonzero(counts[:, :-1], axis=0).tolist())
+            ),
+        },
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hpfold as hp
-from hpfold import cli
+from hpfold import cli, model
 from hpfold.cli import main
 from hpfold.pipeline import RunConfig, load_result, result_document, solve_sequence
 
@@ -234,6 +234,26 @@ class TestPipeline:
         written = hp.emit(solve_sequence(cfg))
         assert "result.json" in written
         assert ("qubo.json" in written) == cfg.export_qubo
+
+    @pytest.mark.parametrize(
+        "solver,extra",
+        [("anneal", {"sweeps": 50, "restarts": 3}), ("exhaustive", {}),
+         ("vqe", {"max_evals": 60})],
+    )
+    def test_no_scalar_check_per_candidate(self, solver, extra, monkeypatch):
+        # post-selection checks candidates as arrays; the scalar oracle sees only winners
+        calls = {"validate": 0, "decode_bitstring": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(model, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(model, name, counted)
+        cfg = RunConfig(sequence="HPPH", solver=solver, draws=2, seed=5, **extra)
+        result = solve_sequence(cfg)
+        assert sum(out.selected.provenance["candidates"] for out in result.draws) > cfg.draws
+        assert 0 < calls["validate"] <= cfg.draws
+        assert 0 < calls["decode_bitstring"] <= cfg.draws
 
     @pytest.mark.parametrize(
         "solver,extra",

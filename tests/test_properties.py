@@ -9,6 +9,7 @@ import json
 import math
 import pickle
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hpfold as hp
-from hpfold import ising
+from hpfold import ising, solvers
 from hpfold.ansatz import AnsatzSpec, probabilities, simulate
 from conftest import problem_from_polynomial
 from hpfold import encoder, model
@@ -25,7 +26,8 @@ from hpfold.encoder import VariableLayout
 from hpfold.model import hydrophobic_pairs, parse_sequence
 from hpfold.polynomial import BinaryPolynomial
 from hpfold.solvers import (
-    VqeSettings, anneal, default_schedule, exhaustive, postselect, vqe_statevector,
+    CANDIDATE_COUNTS, VqeSettings, anneal, candidate_counts, default_schedule, exhaustive,
+    postselect, vqe_statevector,
 )
 
 REAL = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
@@ -201,14 +203,15 @@ def merged_ranking(entries, top_k):
     return sorted(merged.items(), key=lambda kv: (kv[1][1], kv[0]))[:top_k]
 
 
-def reference_choice(ranked, q, seq):
+def reference_choice(ranked, q, seq, allow_steric=True):
     """The most-contact feasible candidate, ties by (energy, bits); if none is
     feasible, the least-violating one, ties by (energy, bits)."""
     feasible, fallback = [], []
     for bits, (_count, energy) in ranked:
         turns = model.decode_bitstring(bits, q.layout)
         report = model.validate(
-            turns, seq, pair_exclusion=model.pair_exclusions(bits, q.layout)
+            turns, seq, allow_steric=allow_steric,
+            pair_exclusion=model.pair_exclusions(bits, q.layout),
         )
         contacts = model.count_contacts(model.turns_to_coordinates(turns), seq)
         if report.feasible:
@@ -260,6 +263,75 @@ def test_postselect_matches_the_merged_ranking(folds, beads, data):
     bits, energy, feasible = reference_choice(ranked, q, seq)
     assert sel.provenance["candidates"] == len(ranked) == min(top_k, k)
     assert (sel.best_bits, sel.best_value, sel.feasible) == (bits, energy, feasible)
+
+
+def oracle_counts(bits, layout, seq, allow_steric):
+    """The scalar oracle's list lengths and contacts, in ``CANDIDATE_COUNTS`` order."""
+    turns = model.decode_bitstring(bits, layout)
+    report = model.validate(
+        turns, seq, allow_steric=allow_steric,
+        pair_exclusion=model.pair_exclusions(bits, layout),
+    )
+    contacts = model.count_contacts(model.turns_to_coordinates(turns), seq)
+    return [len(report.continuity), len(report.overlap), len(report.crossing),
+            len(report.pair_exclusion), contacts]
+
+
+@st.composite
+def candidate_sets(draw):
+    """Distinct bit rows for a 2-9 bead layout: lattice walks, some with (1,1)
+    pairs set, some with random bits; optionally every row spoiled by a zero turn."""
+    seq = parse_sequence(draw(st.text("HP", min_size=2, max_size=9)))
+    layout = VariableLayout(
+        len(seq),
+        first_turn_fixed=draw(st.booleans()),
+        fixed_turn=draw(st.sampled_from([(1, 0, 0), (0, -1, 1), (1, 1, 1), (-1, 1, -1)])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    moves = np.array(model.lattice_moves(allow_steric=draw(st.booleans())))
+    walks = moves[rng.integers(0, len(moves), size=(draw(st.integers(1, 30)), len(seq) - 1))]
+    if layout.first_turn_fixed:
+        walks[:, 0] = layout.fixed_turn
+    rows = np.array([model.encode_turns(w.tolist(), layout) for w in walks], dtype=np.uint8)
+    rows = rows.reshape(len(walks), layout.n_vars)
+    rows[:, 1::2] |= rows[:, ::2] & (rng.random(rows[:, ::2].shape) < draw(st.floats(0, 0.2)))
+    noise = rng.integers(0, 2, size=(draw(st.integers(0, 10)), layout.n_vars), dtype=np.uint8)
+    rows = np.concatenate([rows, noise])
+    if layout.n_vars and draw(st.booleans()):
+        rows[:, -6:] = 0  # the last turn is zero: nothing is feasible
+    return seq, layout, np.unique(rows, axis=0), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cands=candidate_sets(),
+    allow_steric=st.booleans(),
+    block=st.sampled_from([1, 7, 512]),
+    data=st.data(),
+)
+def test_batched_checks_match_the_scalar_oracle(cands, allow_steric, block, data):
+    seq, layout, bits, rng = cands
+    k = len(bits)
+    with mock.patch.object(solvers, "COUNT_BLOCK", block):
+        counts = candidate_counts(bits, layout, seq, allow_steric)
+    expected = [oracle_counts(tuple(row), layout, seq, allow_steric) for row in bits.tolist()]
+    assert counts.tolist() == expected
+
+    q = SimpleNamespace(layout=layout)  # postselect reads only the layout
+    samples = ising.SampleSet(bits, np.ones(k, dtype=np.int64), rng.integers(-2, 3, size=k) / 2.0)
+    top_k = data.draw(st.integers(1, k + 2))
+    ranked = merged_ranking(tuple_entries(samples), top_k)
+    sel = postselect(samples, q, seq, top_k=top_k, allow_steric=allow_steric)
+    assert (sel.best_bits, sel.best_value, sel.feasible) == reference_choice(
+        ranked, q, seq, allow_steric
+    )
+    kept = [oracle_counts(row, layout, seq, allow_steric) for row, _ in ranked]
+    assert sel.census == {
+        "feasible_candidates": sum(not any(c[:-1]) for c in kept),
+        "rejected": {
+            kind: sum(c[i] > 0 for c in kept) for i, kind in enumerate(CANDIDATE_COUNTS[:-1])
+        },
+    }
 
 
 @settings(max_examples=40, deadline=None)
