@@ -114,6 +114,22 @@ def basis_energies(q: QuboProblem) -> np.ndarray:
     return np.concatenate([part for _, part in basis_energy_chunks(q)])
 
 
+def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a (k, n) 0/1 matrix, as ``(first, inverse)``.
+
+    ``bits[first]`` are the distinct rows in ``np.unique(bits, axis=0)`` order,
+    each taken at its first occurrence; ``inverse`` maps every row to its
+    distinct row. Rows are compared as packed big-endian bytes, which sort
+    like the bit rows they pack. Zero-width rows are all one row.
+    """
+    packed = np.packbits(bits, axis=1)
+    if packed.shape[1] == 0:
+        return np.zeros(min(len(bits), 1), dtype=np.intp), np.zeros(len(bits), dtype=np.intp)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Distinct bitstrings, the rows of a (k, n) 0/1 matrix, with counts >= 1 and
@@ -133,7 +149,7 @@ class SampleSet:
             raise ValueError(f"{len(bits)} rows, {counts.size} counts, {energies.size} energies")
         if np.any(counts < 1):
             raise ValueError("multiplicities must be >= 1")
-        if len(np.unique(bits, axis=0)) != len(bits):
+        if len(unique_rows(bits)[0]) != len(bits):
             raise ValueError("bitstrings must be distinct")
         bits.flags.writeable = counts.flags.writeable = energies.flags.writeable = False
         for name, value in (("bits", bits), ("counts", counts), ("energies", energies)):

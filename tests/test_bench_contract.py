@@ -68,3 +68,11 @@ def test_traced_run_reports_every_declared_layer_metric(tmp_path):
     assert solve_tracer.counter_errors == [] and emit_tracer.counter_errors == []
     assert [name for name in declared if name not in metrics] == []
     assert [name for name in declared if not math.isfinite(metrics[name][0])] == []
+
+    # one solvers.anneal span and counter per draw: the tracer's per-draw contract
+    cfg = CONFIGS[0]
+    n_vars = hp.VariableLayout(len(cfg.sequence), first_turn_fixed=cfg.fix_first_turn).n_vars
+    assert sum(span[0] == "solvers.anneal" for span in solve_tracer.spans) == cfg.draws
+    assert solve_tracer.counters["anneal.proposals"] == (
+        cfg.draws * cfg.sweeps * cfg.restarts * n_vars
+    )

@@ -194,6 +194,147 @@ def test_samples_json_matches_the_tuple_serializer(q, seed, shots):
             back.counts[0] = 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.sampled_from([0, 1, 7, 8, 9, 48, 156]),
+    pool=st.integers(1, 8),
+    rows=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unique_rows_matches_numpy_row_unique(width, pool, rows, seed):
+    rng = np.random.default_rng(seed)
+    distinct = rng.integers(0, 2, size=(pool, width), dtype=np.uint8)
+    bits = distinct[rng.integers(0, pool, size=rows)]  # many duplicates
+    want_rows, want_first, want_inverse = np.unique(
+        bits, axis=0, return_index=True, return_inverse=True
+    )
+    first, inverse = ising.unique_rows(bits)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(inverse, want_inverse)
+    assert np.array_equal(bits[first], want_rows)
+
+
+def reference_anneal(q, sched):
+    """The annealer as a plain loop over every (sweep, variable) step, with
+    row-wise ``np.unique`` dedup: the oracle for ``solvers.anneal``."""
+    n = q.n_vars
+    const, lin, quad = q.to_dense()
+    rng = np.random.default_rng(sched.seed)
+    r = sched.restarts
+
+    x = rng.integers(0, 2, size=(r, n)).astype(float)
+    g = lin + x @ quad  # g[s, j] = flip cost of x_j from 0 to 1 in state s
+    energy = const + x @ lin + 0.5 * np.einsum("si,si->s", x @ quad, x)
+
+    best_energy = energy.copy()
+    best_x = x.copy()
+    best_sweep = np.zeros(r, dtype=int)
+
+    sweeps = sched.sweeps
+    snap_states = np.empty((sweeps, r, n), dtype=np.uint8)
+
+    trace = []
+    for sweep, t in enumerate(sched.temperatures()):
+        order = rng.permutation(n)
+        # accept iff u < exp(-dE/T), i.e. dE < -T*log(u); 1-u is uniform too
+        thresholds = -t * np.log(1.0 - rng.random((n, r)))
+        for step in range(n):
+            j = order[step]
+            sign = 1.0 - 2.0 * x[:, j]
+            d_energy = g[:, j] * sign
+            accept = d_energy < thresholds[step]
+            delta = sign * accept
+            x[:, j] += delta
+            energy += d_energy * accept
+            g += delta[:, None] * quad[j]
+        improved = energy < best_energy
+        if improved.any():
+            best_energy[improved] = energy[improved]
+            best_x[improved] = x[improved]
+            best_sweep[improved] = sweep
+        snap_states[sweep] = x
+        trace.append((sweep, float(energy.min()), float(best_energy.min())))
+
+    all_states = np.concatenate(
+        [snap_states.reshape(sweeps * r, n), best_x.astype(np.uint8)]
+    )
+    all_sweeps = np.concatenate([np.repeat(np.arange(sweeps), r), best_sweep])
+    uniq, inverse = np.unique(all_states, axis=0, return_inverse=True)
+    uniq_energy = q.energies(uniq)
+    uniq_first = np.full(uniq.shape[0], sweeps)
+    np.minimum.at(uniq_first, inverse, all_sweeps)
+    uniq_counts = np.bincount(inverse, minlength=uniq.shape[0])
+    order = np.argsort(uniq_energy, kind="stable")[: solvers.KEPT_SAMPLES]
+    samples = ising.SampleSet(uniq[order], uniq_counts[order], uniq_energy[order])
+
+    winner = int(np.argmin(best_energy))
+    return solvers.SolveResult(
+        best_bits=tuple(int(b) for b in best_x[winner]),
+        best_value=float(uniq_energy[inverse[sweeps * r + winner]]),
+        samples=samples,
+        trace=tuple(trace),
+        provenance={
+            "solver": "anneal",
+            "seed": sched.seed,
+            "t_initial": sched.t_initial,
+            "t_final": sched.t_final,
+            "sweeps": sched.sweeps,
+            "restarts": sched.restarts,
+            "sweeps_to_best": int(best_sweep[winner]),
+        },
+        sample_first_seen=uniq_first[order],
+    )
+
+
+# Temperature ladders relative to the coefficient scale: every step accepts,
+# almost none does, or acceptance falls off during the run.
+LADDERS = {"hot": (1e4, 1e3), "cold": (1e-2, 1e-4), "cross": (10.0, 1e-3)}
+
+
+@st.composite
+def anneal_cases(draw):
+    n = draw(st.integers(0, 12))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 7.0, 50.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # small integers, so that energies tie
+        lin = rng.integers(-2, 3, size=n) * scale
+        upper = rng.integers(-2, 3, size=(n, n)) * scale
+    else:
+        lin = rng.uniform(-scale, scale, size=n)
+        upper = rng.uniform(-scale, scale, size=(n, n))
+    upper = np.triu(upper * (rng.random((n, n)) < draw(st.sampled_from([0.2, 1.0]))), 1)
+    q = encoder.QuboProblem(
+        float(rng.uniform(-scale, scale)), lin, upper + upper.T,
+        SimpleNamespace(n_vars=n),  # anneal reads only the variable count
+        encoder.PenaltyConfig(1.0, 1.0, 1.0, 1.0, 1.0),
+        encoder.AxisDraw(overlap={}, crossing={}),
+    )
+    hot, cold = LADDERS[draw(st.sampled_from(sorted(LADDERS)))]
+    sched = solvers.AnnealSchedule(
+        t_initial=hot * scale,
+        t_final=cold * scale,
+        sweeps=draw(st.integers(1, 60)),
+        restarts=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return q, sched
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=anneal_cases())
+def test_anneal_matches_the_plain_loop(case):
+    q, sched = case
+    got, want = anneal(q, sched), reference_anneal(q, sched)
+    assert got.best_bits == want.best_bits
+    assert repr(got.best_value) == repr(want.best_value)
+    assert repr(got.trace) == repr(want.trace)
+    for name in ("bits", "counts", "energies"):
+        a, b = getattr(got.samples, name), getattr(want.samples, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.array_equal(got.sample_first_seen, want.sample_first_seen)
+    assert got.provenance == want.provenance
+
+
 def merged_ranking(entries, top_k):
     """Rank (bits, count, energy) tuples by merging them per bitstring and
     sorting by (energy, bits); the ``top_k`` first are the candidates."""
