@@ -12,7 +12,6 @@ bitstring order used everywhere else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -63,7 +62,10 @@ def _apply_ry(state: np.ndarray, qubit: int, theta: float) -> None:
 def _product(amplitudes: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Kron of the 2-vectors ``amplitudes[q]`` after RZ(``phi[q]``); qubit q is bit q."""
     factors = amplitudes * np.exp(0.5j * np.outer(phi, [-1.0, 1.0]))
-    return reduce(lambda state, factor: np.kron(factor, state), factors, np.ones(1, complex))
+    state = np.ones(1, complex)
+    for factor in factors:
+        state = np.multiply.outer(factor, state).ravel()
+    return state
 
 
 def simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:

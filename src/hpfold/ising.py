@@ -1,17 +1,18 @@
 """Basis-state energies of a quadratic binary problem, samples and CVaR.
 
-The 2^n enumerator reads every energy from ``QuboProblem.energies``. The
-diagonal spin-operator form is kept for export and as a test oracle. Spin
-convention: bit 0 maps to z = +1 and bit 1 to z = -1, i.e. x = (1 - z) / 2.
-Every computational basis state is an eigenstate, so a bitstring's energy is
-a plain parity sum over the stored coefficients.
+``basis_energies`` reads all 2^n energies from ``QuboProblem.energies``;
+``solvers.exhaustive`` scans faster and rescores its kept states the same
+way. The diagonal spin-operator form is kept for export and as a test
+oracle. Spin convention: bit 0 maps to z = +1 and bit 1 to z = -1, i.e.
+x = (1 - z) / 2. Every computational basis state is an eigenstate, so a
+bitstring's energy is a plain parity sum over the stored coefficients.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -94,24 +95,20 @@ def ising_energy(op: IsingOperator, bits: Sequence[int]) -> float:
 CHUNK = 1 << 16
 
 
-def basis_energy_chunks(q: QuboProblem) -> Iterator[tuple[int, np.ndarray]]:
-    """Energies of all 2^n computational basis states, as (start, energies) chunks.
+def basis_energies(q: QuboProblem) -> np.ndarray:
+    """Energies of all 2^n computational basis states, indexed by state.
 
-    State s has bit i equal to (s >> i) & 1; a chunk holds the energies of
-    states start, start + 1, ... in order, each computed by ``q.energies``.
+    State s has bit i equal to (s >> i) & 1. Every energy comes from
+    ``q.energies``, fed ``CHUNK`` index-bit rows at a time to bound memory.
     """
     n = q.n_vars
     if n > 26:
         raise ValueError(f"2^{n} basis states exceed the enumeration budget")
-    size = 1 << n
-    for start in range(0, size, CHUNK):
-        idx = np.arange(start, min(start + CHUNK, size), dtype=np.int64)
-        yield start, q.energies((idx[:, None] >> np.arange(n)) & 1)
-
-
-def basis_energies(q: QuboProblem) -> np.ndarray:
-    """Energies of all 2^n computational basis states, indexed by state."""
-    return np.concatenate([part for _, part in basis_energy_chunks(q)])
+    out = np.empty(1 << n)
+    for start in range(0, out.size, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, out.size), dtype=np.int64)
+        out[start : start + idx.size] = q.energies((idx[:, None] >> np.arange(n)) & 1)
+    return out
 
 
 def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

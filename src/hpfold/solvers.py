@@ -9,16 +9,17 @@ maximum-contact feasible conformation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
-from . import model
+from . import ising, model
 from .ansatz import AnsatzSpec, probabilities, random_initial_params, simulate
 from .encoder import QuboProblem, VariableLayout, crossing_pairs, overlap_pairs
-from .ising import SampleSet, basis_energy_chunks, cvar, unique_rows
+from .ising import SampleSet, cvar, unique_rows
 
 EXHAUSTIVE_VARIABLE_BUDGET = 24
 # Distinct states that an annealing run or an exact VQE distribution passes on.
@@ -195,33 +196,81 @@ def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
     )
 
 
+def _subset_sums(start: float, terms: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` (2^len(terms) entries) with start + the terms at the set bits
+    of each index, by doubling: the upper half of every prefix is its lower
+    half plus the next term."""
+    out[0] = start
+    for j, term in enumerate(terms):
+        np.add(out[: 1 << j], term, out=out[1 << j : 2 << j])
+
+
 def exhaustive(q: QuboProblem, keep: int = 4096) -> SolveResult:
     """Exact scan of all 2^n assignments; retains the ``keep`` lowest states.
 
     States are ranked by energy, then by state index (bit i of the index is
     variable i), so the kept set does not depend on how the scan is chunked.
+    The scan builds every energy at O(1) cost by doubling over the bits, one
+    chunk of ``ising.CHUNK`` states (rounded down to a power of two) per
+    setting of the high bits. These fast values may differ from
+    ``QuboProblem.energies`` in the last bits, by at most a rounding bound, so
+    the scan keeps every state within twice that bound of the keep-th fast
+    value, then ranks those by their exact energies, which it returns.
     """
     n = q.n_vars
     if n > EXHAUSTIVE_VARIABLE_BUDGET:
         raise ValueError(
             f"{n} variables exceed the exhaustive budget of {EXHAUSTIVE_VARIABLE_BUDGET}"
         )
-    top_idx = np.empty(0, dtype=np.int64)
-    top_energy = np.empty(0)
-    for start, energy in basis_energy_chunks(q):
-        # states stay in ascending order, so the lowest state wins a tie
-        top_idx = np.concatenate([top_idx, np.arange(start, start + energy.size)])
-        top_energy = np.concatenate([top_energy, energy])
-        if top_idx.size > keep:
-            kth = np.partition(top_energy, keep - 1)[keep - 1]
-            kept = top_energy < kth
-            kept[np.flatnonzero(top_energy == kth)[: keep - np.count_nonzero(kept)]] = True
-            top_idx, top_energy = top_idx[kept], top_energy[kept]
+    upper = np.triu(q.quad)
+    # A fast value and q.energies sum the same m = 1 + n + n(n-1)/2 terms (a
+    # coefficient or 0.0) in different orders. Each lies within
+    # gamma_(m-1) * sum|coef| of the true sum (Higham, "Accuracy and Stability
+    # of Numerical Algorithms", sec. 4.2), so they differ by at most twice
+    # that. Using gamma_m instead adds 2u * sum|coef|, which covers the
+    # rounding of the bound and of the thresholds below.
+    m = 1 + n + n * (n - 1) // 2
+    u = np.finfo(float).eps / 2
+    scale = math.fsum([abs(q.const), *np.abs(q.lin), *np.abs(upper).ravel()])
+    bound = 2 * (m * u / (1 - m * u)) * scale
 
-    order = np.lexsort((top_idx, top_energy))
-    top_idx = top_idx[order]
-    top_energy = top_energy[order]
+    def exact_top(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        exact = q.energies((idx[:, None] >> np.arange(n)) & 1)
+        order = np.lexsort((idx, exact))[:keep]
+        return idx[order], exact[order]
 
+    low = min(n, ising.CHUNK.bit_length() - 1)
+    low_energy = np.empty(1 << low)
+    field = np.empty(1 << low)
+    low_energy[0] = q.const
+    for k in range(low):
+        _subset_sums(q.lin[k], upper[:k, k], field[: 1 << k])
+        np.add(low_energy[: 1 << k], field[: 1 << k], out=low_energy[1 << k : 2 << k])
+
+    # The candidates hold every state seen so far that can still be kept, with
+    # a value within bound of its exact energy: a kept state's exact energy is
+    # at most the keep-th candidate value + bound.
+    cand_idx = np.empty(0, dtype=np.int64)
+    cand_value = np.empty(0)
+    kth = np.inf
+    energy = np.empty(1 << low)
+    for high in range(1 << (n - low)):
+        on = low + np.flatnonzero((high >> np.arange(n - low)) & 1)
+        offset = q.lin[on].sum() + upper[np.ix_(on, on)].sum()
+        _subset_sums(offset, upper[:low, on].sum(axis=1), field)
+        np.add(low_energy, field, out=energy)
+        new = np.flatnonzero(energy <= kth + 2 * bound)
+        cand_idx = np.concatenate([cand_idx, (high << low) + new])
+        cand_value = np.concatenate([cand_value, energy[new]])
+        if cand_idx.size > keep:
+            kth = np.partition(cand_value, keep - 1)[keep - 1]
+            near = cand_value <= kth + 2 * bound
+            cand_idx, cand_value = cand_idx[near], cand_value[near]
+        if cand_idx.size > keep + energy.size:
+            # Many near-ties: rank exactly now, to bound memory.
+            cand_idx, cand_value = exact_top(cand_idx)
+
+    top_idx, top_energy = exact_top(cand_idx)
     bits = (top_idx[:, None] >> np.arange(n)) & 1
     samples = SampleSet(bits, np.ones(top_idx.size, dtype=np.int64), top_energy)
     return SolveResult(

@@ -9,6 +9,7 @@ import json
 import math
 import pickle
 import warnings
+from functools import reduce
 from types import SimpleNamespace
 from unittest import mock
 
@@ -68,6 +69,42 @@ def test_exhaustive_matches_brute_force(q, keep, chunk):
     assert [e[0] for e in result.samples.entries] == [bits_of(s, n) for s in expected]
     assert [e[2] for e in result.samples.entries] == [energies[s] for s in expected]
     assert result.best_value == energies[expected[0]]
+
+
+# Decimal coefficients make many states tie in real arithmetic while their
+# float sums differ in the last bits with the order of summation.
+TIE_PRONE = st.sampled_from([0.1, 0.2, 0.3, 0.7, -0.1, -0.3, -0.7, 1 / 3])
+ZERO_VARIABLE_PROBLEMS = REAL.map(
+    lambda c: problem_from_polynomial(BinaryPolynomial({frozenset(): c}), VariableLayout(2))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.one_of(
+        quadratic_problems(max_used=12, coeff=REAL),
+        quadratic_problems(max_used=12, coeff=TIE_PRONE),
+        ZERO_VARIABLE_PROBLEMS,
+    ),
+    chunk=st.sampled_from([1, 7, 64, 1 << 16]),
+    data=st.data(),
+)
+def test_exhaustive_keeps_the_exact_ranking(q, chunk, data):
+    # The scan ranks by fast sums and rescores near the boundary; what it
+    # keeps must equal a full ranking of q.energies, bit for bit.
+    n = q.n_vars
+    keep = data.draw(st.integers(1, (1 << n) + 3))
+    states = np.arange(1 << n)
+    energies = q.energies((states[:, None] >> np.arange(n)) & 1)
+    expected = np.lexsort((states, energies))[:keep]
+    with mock.patch.object(ising, "CHUNK", chunk):
+        result = exhaustive(q, keep=keep)
+    want_bits = ((expected[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    assert result.samples.bits.shape == want_bits.shape
+    assert result.samples.bits.tobytes() == want_bits.tobytes()
+    assert result.samples.energies.tobytes() == energies[expected].tobytes()
+    assert result.best_value == energies[expected[0]]
+    assert result.provenance == {"solver": "exhaustive", "states_scanned": 1 << n, "kept": expected.size}
 
 
 def bit_rows(n, max_rows=12):
@@ -617,6 +654,63 @@ def test_final_rz_layer_changes_no_probability(spec, seed):
 
     random_rz = rng.uniform(-np.pi, np.pi, spec.n_qubits)
     assert np.abs(probs(random_rz) - probs(np.zeros(spec.n_qubits))).max() <= 1e-12
+
+
+def kron_apply_ry(state: np.ndarray, qubit: int, theta: float) -> None:
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    view = state.reshape(-1, 2, 1 << qubit)
+    a0 = view[:, 0, :].copy()
+    a1 = view[:, 1, :]
+    view[:, 0, :] = c * a0 - s * a1
+    view[:, 1, :] = s * a0 + c * a1
+
+
+def kron_product(amplitudes: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Kron of the 2-vectors ``amplitudes[q]`` after RZ(``phi[q]``); qubit q is bit q."""
+    factors = amplitudes * np.exp(0.5j * np.outer(phi, [-1.0, 1.0]))
+    return reduce(lambda state, factor: np.kron(factor, state), factors, np.ones(1, complex))
+
+
+def kron_simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
+    """The earlier ``simulate``, which built product states with ``np.kron``."""
+    params = np.asarray(params, dtype=float)
+    if params.shape != (spec.n_params,):
+        raise ValueError(
+            f"expected {spec.n_params} parameters, got shape {params.shape}"
+        )
+    n = spec.n_qubits
+    angles = params.reshape(2 * spec.reps + 1, n)
+    ry, rz = angles[0::2], angles[1::2]
+    state = kron_product(np.stack([np.cos(ry[0] / 2), np.sin(ry[0] / 2)], axis=1), rz[0])
+
+    # The CNOT chain moves amplitude source[idx] to idx. The linear chain sets
+    # bit q to the XOR of bits 0..q; the circular chain's closing CNOT (n-1, 0)
+    # acts last, so it is undone first.
+    source = np.arange(1 << n)
+    if spec.entangler == "circular" and n > 2:
+        source ^= (source >> (n - 1)) & 1
+    source ^= (source << 1) & ((1 << n) - 1)
+    for layer in range(1, spec.reps + 1):
+        state = state[source]
+        for q in range(n):
+            kron_apply_ry(state, q, ry[layer, q])
+        if layer < spec.reps:
+            state *= kron_product(np.ones((n, 2)), rz[layer])
+    return state
+
+
+# Angles at which a rotation leaves exact (signed) zeros in the state.
+SPECIAL_ANGLES = st.sampled_from([0.0, -0.0, np.pi, -np.pi, np.pi / 2, 2 * np.pi])
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=ansatz_specs, data=st.data())
+def test_simulate_matches_the_kron_product_state(spec, data):
+    angle = st.one_of(st.floats(-np.pi, np.pi), SPECIAL_ANGLES)
+    params = np.array(data.draw(st.lists(angle, min_size=spec.n_params, max_size=spec.n_params)))
+    got, want = simulate(spec, params), kron_simulate(spec, params)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
