@@ -7,6 +7,15 @@ changes no probability; that leaves n * (2 * reps + 1) parameters.
 
 Qubit i is bit i of the basis-state index (little-endian), matching the
 bitstring order used everywhere else in the package.
+
+An RY layer never does strided work. While qubit q rotates it is the lowest
+index bit, so its bit-0 and bit-1 amplitudes are the even and odd entries;
+the pass writes c*a0 - s*a1 into the first half of the state and
+s*a0 + c*a1 into the second, which moves bit q to the top. After n passes
+the index bits have gone round once and are back in order. Each amplitude
+goes through the same complex products and sums, in the same order, as an
+update of bit q in place, so the result is the same to the last bit,
+signed zeros included.
 """
 
 from __future__ import annotations
@@ -50,13 +59,20 @@ class AnsatzSpec:
         return pairs
 
 
-def _apply_ry(state: np.ndarray, qubit: int, theta: float) -> None:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    view = state.reshape(-1, 2, 1 << qubit)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = c * a0 - s * a1
-    view[:, 1, :] = s * a0 + c * a1
+def _ry_layer(state: np.ndarray, theta: np.ndarray) -> None:
+    """RY(``theta[q]``) on every qubit q in turn, in place, on contiguous halves.
+
+    ``x`` and ``y`` hold c·state and s·state, so the layer's peak is three
+    statevectors.
+    """
+    half = state.size // 2
+    x, y = np.empty_like(state), np.empty_like(state)
+    for angle in theta:
+        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+        np.multiply(c, state, out=x)
+        np.multiply(s, state, out=y)
+        np.subtract(x[0::2], y[1::2], out=state[:half])
+        np.add(y[0::2], x[1::2], out=state[half:])
 
 
 def _product(amplitudes: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -66,6 +82,20 @@ def _product(amplitudes: np.ndarray, phi: np.ndarray) -> np.ndarray:
     for factor in factors:
         state = np.multiply.outer(factor, state).ravel()
     return state
+
+
+def _entangle(state: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
+    """``state`` after the CNOT chain, as a new array."""
+    # The chain moves amplitude source[idx] to idx. The linear chain sets bit q
+    # to the XOR of bits 0..q; the circular chain's closing CNOT (n-1, 0) acts
+    # last, so it is undone first. source is rebuilt per layer and freed on
+    # return, so the rotation layer's scratch never coexists with it.
+    n = spec.n_qubits
+    source = np.arange(1 << n)
+    if spec.entangler == "circular" and n > 2:
+        source ^= (source >> (n - 1)) & 1
+    source ^= (source << 1) & ((1 << n) - 1)
+    return state[source]
 
 
 def simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
@@ -84,18 +114,9 @@ def simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     angles = params.reshape(2 * spec.reps + 1, n)
     ry, rz = angles[0::2], angles[1::2]
     state = _product(np.stack([np.cos(ry[0] / 2), np.sin(ry[0] / 2)], axis=1), rz[0])
-
-    # The CNOT chain moves amplitude source[idx] to idx. The linear chain sets
-    # bit q to the XOR of bits 0..q; the circular chain's closing CNOT (n-1, 0)
-    # acts last, so it is undone first.
-    source = np.arange(1 << n)
-    if spec.entangler == "circular" and n > 2:
-        source ^= (source >> (n - 1)) & 1
-    source ^= (source << 1) & ((1 << n) - 1)
     for layer in range(1, spec.reps + 1):
-        state = state[source]
-        for q in range(n):
-            _apply_ry(state, q, ry[layer, q])
+        state = _entangle(state, spec)
+        _ry_layer(state, ry[layer])
         if layer < spec.reps:
             state *= _product(np.ones((n, 2)), rz[layer])
     return state

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import ising, model
 from .ansatz import AnsatzSpec, probabilities, random_initial_params, simulate
@@ -322,6 +321,8 @@ def vqe_statevector(
     best point whenever it converges early; with no parameters it evaluates
     once. Returns the sampled population at the best parameters.
     """
+    from scipy.optimize import minimize  # here, so that only vqe loads scipy
+
     n = spec.n_qubits
     if np.shape(energies) != (1 << n,):
         raise ValueError(f"{np.size(energies)} basis energies for {n} qubits")

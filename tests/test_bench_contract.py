@@ -76,3 +76,8 @@ def test_traced_run_reports_every_declared_layer_metric(tmp_path):
     assert solve_tracer.counters["anneal.proposals"] == (
         cfg.draws * cfg.sweeps * cfg.restarts * n_vars
     )
+
+    # one ansatz.simulate per objective evaluation plus the final state, per draw
+    cfg, result = CONFIGS[2], results[2]
+    evaluations = sum(out.selected.provenance["evaluations"] for out in result.draws)
+    assert solve_tracer.totals()["ansatz.simulate"]["calls"] == evaluations + cfg.draws

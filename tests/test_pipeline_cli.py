@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,6 +269,20 @@ class TestPipeline:
         )
         hp.emit(solve_sequence(cfg))
         assert capsys.readouterr().out == ""
+
+    def test_anneal_run_does_not_load_scipy_optimize(self):
+        # scipy.optimize costs about 0.3 s and 45 MB to import; only vqe needs it
+        snippet = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import hpfold as hp; "
+            "hp.solve_sequence(hp.RunConfig(sequence='HPPH', sweeps=20, restarts=2, "
+            "draws=1, seed=1)); print('scipy.optimize' in sys.modules)"
+        )
+        src = str(Path(hp.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", snippet, src],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.split() == ["False"]
 
 
 class TestCli:

@@ -672,7 +672,7 @@ def kron_product(amplitudes: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def kron_simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
-    """The earlier ``simulate``, which built product states with ``np.kron``."""
+    """The earlier ``simulate``: ``np.kron`` product states and a strided per-qubit RY."""
     params = np.asarray(params, dtype=float)
     if params.shape != (spec.n_params,):
         raise ValueError(
@@ -711,6 +711,33 @@ def test_simulate_matches_the_kron_product_state(spec, data):
     got, want = simulate(spec, params), kron_simulate(spec, params)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.builds(
+        AnsatzSpec,
+        n_qubits=st.integers(1, 8),
+        reps=st.sampled_from([1, 2]),
+        entangler=st.sampled_from(["linear", "circular"]),
+    ),
+    shots=st.sampled_from([0, 64]),
+    extra_evals=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vqe_is_unchanged_by_the_rotation_layer(spec, shots, extra_evals, seed):
+    # small-integer energies, so that the CVaR and the best sample meet ties
+    energies = np.random.default_rng(seed).integers(-4, 5, 1 << spec.n_qubits).astype(float)
+    settings_ = VqeSettings(max_evals=spec.n_params + 2 + extra_evals, seed=seed)
+    got = vqe_statevector(energies, spec, settings_, shots=shots)
+    with mock.patch.object(solvers, "simulate", kron_simulate):
+        want = vqe_statevector(energies, spec, settings_, shots=shots)
+    for name in ("bits", "counts", "energies"):
+        a, b = getattr(got.samples, name), getattr(want.samples, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert repr(got.trace) == repr(want.trace)
+    assert got.best_bits == want.best_bits and got.best_value == want.best_value
+    assert got.provenance == want.provenance
 
 
 @pytest.fixture(scope="module")
