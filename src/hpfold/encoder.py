@@ -487,8 +487,12 @@ def assemble(
     gram = np.zeros((n + 1, n + 1))
     for a, name in enumerate(AXES):
         used = np.r_[np.ones(len(h_pairs), bool), drawn == name]
-        forms = rows[used] @ steps[a]
-        gram += (forms.T * weights[used]) @ forms
+        forms, w = rows[used] @ steps[a], weights[used]
+        # Small integers: each weight's Gram matrix is exact in any summation
+        # order, so the result does not depend on how BLAS splits the product.
+        for weight in np.unique(w):
+            group = forms[w == weight]
+            gram += weight * (group.T @ group)
     halves = np.abs(steps).sum(axis=0)
     gram += 0.5 * penalties.lambda1 * (halves.T @ halves)
     gram[np.diag_indices(n + 1)] -= 1.5 * penalties.lambda1 * halves.sum(axis=0)

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -185,6 +184,8 @@ def solve_sequence(cfg: RunConfig) -> PipelineResult:
 
     tasks = [(seq, layout, penalties, cfg, d) for d in range(cfg.draws)]
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only workers > 1 loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_draw_task, tasks))
     else:

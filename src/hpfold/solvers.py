@@ -1,10 +1,10 @@
 """Minimizers for the assembled problem and feasibility post-selection.
 
-Three routes to low-energy bitstrings: a vectorized single-flip Metropolis
-annealer, an exact exhaustive scan for small variable counts, and a CVaR
-objective variational loop over an exact statevector. Post-selection then
-checks every sampled bitstring's geometry in one array pass and keeps the
-maximum-contact feasible conformation.
+Three routes to low-energy bitstrings: a single-flip Metropolis annealer
+that proposes uncoupled variables together, an exact exhaustive scan for
+small variable counts, and a CVaR objective variational loop over an exact
+statevector. Post-selection then checks every sampled bitstring's geometry
+in one array pass and keeps the maximum-contact feasible conformation.
 """
 
 from __future__ import annotations
@@ -95,91 +95,114 @@ class SolveResult:
     census: Optional[dict] = None
 
 
-def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
-    """Simulated annealing with Metropolis single-flip sweeps.
+def coupling_classes(quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Colour the coupling graph ``quad != 0`` greedily in index order.
 
-    All restarts run in lockstep as rows of one state matrix. Every sweep
-    proposes each variable once in a random order; flip costs come from
-    maintained local fields, so a proposal is O(1) per restart. A step that
-    no restart accepts changes nothing, so it is skipped. After a sweep in
-    which at most a quarter of the steps were accepted anywhere, the next
-    sweep computes the flip costs of all its remaining steps in one pass and
-    jumps to the first step that some restart accepts; the results equal
-    those of the plain step-by-step loop exactly. The sweep-end state of
-    every restart is recorded, deduplicated on packed-bit keys
-    (``ising.unique_rows``), and the lowest-energy ``KEPT_SAMPLES`` distinct
-    states form the returned population. Their energies are recomputed from
-    the states, so they do not depend on the path taken.
+    Returns ``(perm, starts)``: the variables sorted by colour, by index within
+    a colour, and the offset of every colour's run in ``perm`` followed by n.
+    No two variables of one colour share a nonzero ``quad`` entry.
+    """
+    n = quad.shape[0]
+    colour = np.zeros(n, dtype=int)
+    for i in range(1, n):
+        taken = np.zeros(i + 1, dtype=bool)
+        taken[colour[:i][quad[i, :i] != 0]] = True
+        colour[i] = taken.argmin()
+    perm = np.argsort(colour, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(colour))])
+    return perm, starts
+
+
+def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
+    """Simulated annealing with Metropolis single-flip sweeps over colour classes.
+
+    All restarts run in lockstep as columns of one state matrix. The
+    variables are relabelled once so that every class of
+    ``coupling_classes`` is a contiguous block of rows. Every sweep visits
+    the classes in a random order and proposes all members of a class in one
+    step: members share no coupling, so their flip costs, read from
+    maintained local fields, do not change while the others flip, and the
+    step equals flipping them one at a time. A class that no restart accepts
+    changes nothing, so it is skipped. After a sweep in which at most a
+    quarter of the classes were accepted anywhere, the next sweep computes
+    the flip costs of all variables in one pass and jumps to the first
+    remaining class that some restart accepts.
+
+    The sweep-end state of every restart is recorded and deduplicated on
+    packed-bit keys (``ising.unique_rows``). Energies, the trace and the best
+    state all come from energies recomputed from the states, so they do not
+    depend on the path taken; the best state is the first one recorded at
+    the lowest energy. The lowest-energy ``KEPT_SAMPLES`` distinct states
+    form the returned population.
     """
     n = q.n_vars
     const, lin, quad = q.to_dense()
+    perm, starts = coupling_classes(quad)
+    lin, quad = lin[perm, None], quad[np.ix_(perm, perm)]
     rng = np.random.default_rng(sched.seed)
     r = sched.restarts
 
-    x = rng.integers(0, 2, size=(r, n)).astype(float)
-    g = lin + x @ quad  # g[s, j] = flip cost of x_j from 0 to 1 in state s
-    energy = const + x @ lin + 0.5 * np.einsum("si,si->s", x @ quad, x)
-    spin = 1.0 - 2.0 * x  # flipping x_j costs g[:, j] * spin[:, j]
-
-    best_energy = energy.copy()
-    best_x = x.astype(np.uint8)
-    best_sweep = np.zeros(r, dtype=int)
+    # Variables are rows, restarts columns: a class is a contiguous block.
+    x = rng.integers(0, 2, size=(r, n)).T[perm].astype(float)
+    g = lin + quad @ x  # g[j, s] = flip cost of x_j from 0 to 1 in state s
+    spin = 1.0 - 2.0 * x  # flipping x_j costs g[j] * spin[j]
+    thresholds = np.empty((n, r))
+    # per class: views of its rows of g, spin and thresholds, which are all
+    # updated in place, and its couplings
+    blocks = [(g[c], spin[c], thresholds[c], quad[c].T) for c in map(slice, starts, starts[1:])]
 
     sweeps = sched.sweeps
-    snap_states = np.empty((sweeps, r, n), dtype=np.uint8)
-
-    trace = []
-    accepting = n  # steps of the previous sweep that some restart accepted
+    snap_states = np.empty((sweeps, n, r), dtype=np.uint8)
+    accepting = len(blocks)  # classes of the previous sweep that some restart accepted
     for sweep, t in enumerate(sched.temperatures()):
-        order = rng.permutation(n)
+        order = rng.permutation(len(blocks))
         # accept iff u < exp(-dE/T), i.e. dE < -T*log(u); 1-u is uniform too
-        thresholds = -t * np.log(1.0 - rng.random((n, r)))
-        # In a busy sweep most steps accept somewhere, and a look-ahead per
-        # step costs more than the step; BENCH_12.json compares the cut-offs.
-        quiet = 4 * accepting <= n
+        rng.random(out=thresholds)
+        np.log(np.subtract(1.0, thresholds, out=thresholds), out=thresholds)
+        thresholds *= -t
+        # In a busy sweep most classes accept somewhere, and a look-ahead per
+        # step costs more than the step. BENCH_12.json compares cut-offs for
+        # single-variable steps; BENCH_15.json times the look-ahead for classes.
+        quiet = 4 * accepting <= len(blocks)
         accepting = step = 0
-        while step < n:
-            if quiet:  # jump to the next step that some restart accepts
-                cols = order[step:]
-                hits = (g[:, cols] * spin[:, cols] < thresholds[step:].T).any(axis=0)
+        while step < len(blocks):
+            if quiet:  # jump to the next class that some restart accepts
+                hits = (g * spin < thresholds).any(axis=1)
+                hits = np.logical_or.reduceat(hits, starts[:-1])[order[step:]]
                 skip = hits.argmax()
                 if not hits[skip]:
                     break
                 step += skip
-            j = order[step]
-            d_energy = g[:, j] * spin[:, j]
-            accept = d_energy < thresholds[step]
+            g_c, spin_c, thresholds_c, quad_c = blocks[order[step]]
+            accept = g_c * spin_c < thresholds_c
             step += 1
             if not np.count_nonzero(accept):  # nothing changes
                 continue
             accepting += 1
-            delta = spin[:, j] * accept  # the change in x[:, j]
-            spin[:, j] -= 2.0 * delta
-            energy += d_energy * accept
-            g += delta[:, None] * quad[j]
-        improved = energy < best_energy
-        if improved.any():
-            best_energy[improved] = energy[improved]
-            best_x[improved] = spin[improved] < 0
-            best_sweep[improved] = sweep
+            delta = spin_c * accept  # the change in the class's x
+            np.negative(spin_c, out=spin_c, where=accept)
+            g += quad_c @ delta
         snap_states[sweep] = spin < 0
-        trace.append((sweep, float(energy.min()), float(best_energy.min())))
 
-    all_states = np.concatenate([snap_states.reshape(sweeps * r, n), best_x])
-    all_sweeps = np.concatenate([np.repeat(np.arange(sweeps), r), best_sweep])
-    first, inverse = unique_rows(all_states)
-    uniq = all_states[first]
+    # one row per sweep-end state, sweep-major, in the original labels; "clip"
+    # (the indices are valid) lets take write into out without a temporary
+    states = np.empty((sweeps, r, n), dtype=np.uint8)
+    np.take(snap_states.transpose(0, 2, 1), np.argsort(perm), axis=2, out=states, mode="clip")
+    states = states.reshape(sweeps * r, n)
+    first, inverse = unique_rows(states)
+    uniq = states[first]
     uniq_energy = q.energies(uniq)
-    uniq_first = np.full(uniq.shape[0], sweeps)
-    np.minimum.at(uniq_first, inverse, all_sweeps)
+    energy = uniq_energy[inverse]
+    best = int(np.argmin(energy))
+    sweep_min = energy.reshape(sweeps, r).min(axis=1)
+    trace = zip(range(sweeps), sweep_min.tolist(), np.minimum.accumulate(sweep_min).tolist())
     uniq_counts = np.bincount(inverse, minlength=uniq.shape[0])
     order = np.argsort(uniq_energy, kind="stable")[:KEPT_SAMPLES]
     samples = SampleSet(uniq[order], uniq_counts[order], uniq_energy[order])
 
-    winner = int(np.argmin(best_energy))
     return SolveResult(
-        best_bits=tuple(int(b) for b in best_x[winner]),
-        best_value=float(uniq_energy[inverse[sweeps * r + winner]]),
+        best_bits=tuple(states[best].tolist()),
+        best_value=float(energy[best]),
         samples=samples,
         trace=tuple(trace),
         provenance={
@@ -189,9 +212,9 @@ def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
             "t_final": sched.t_final,
             "sweeps": sched.sweeps,
             "restarts": sched.restarts,
-            "sweeps_to_best": int(best_sweep[winner]),
+            "sweeps_to_best": best // r,
         },
-        sample_first_seen=uniq_first[order],
+        sample_first_seen=first[order] // r,  # first occurrences; rows are sweep-major
     )
 
 

@@ -364,7 +364,7 @@ def test_criterion_10_order_rule():
     rejects the measured efforts when they are assigned in reversed order."""
     assert restart_effort([10, 20], 500) == 15.0
     assert restart_effort([10, None], 500) == 510.0
-    efforts = [118.5, 171.2, 197.2, 458.9, 920.4]  # measured at seed base 1010
+    efforts = [118.5, 171.2, 197.2, 458.9, 920.4]  # seed base 1010, per-variable annealer
     assert fraction_order_break(dict(zip(TABLE_SEQUENCES, efforts))) is None
     reversed_order = dict(zip(TABLE_SEQUENCES, efforts[::-1]))
     assert fraction_order_break(reversed_order) == ("PPHPPHPPHP", "HPPHPPHPHH")
@@ -382,8 +382,9 @@ def test_criterion_10_hydrophobicity_scaling():
     mean first-hit sweep. Every sequence at a lower hydrophobic fraction must
     need strictly less effort than every sequence at a higher one; the two
     50% sequences are not ordered against each other. Measured at seed bases
-    1010 / 2020 / 3030: 30% H 119 / 127 / 114, 50% H 171-197 / 172-184 /
-    180-193, 70% H 459 / 915 / 1353, 90% H 920 / 4685 / 4674.
+    1010 / 2020 / 3030, with targets 3, 9, 9, 17 and 25 contacts at each:
+    30% H 120 / 120 / 117, 50% H 174-189 / 167-179 / 155-177, 70% H 1119 /
+    1671 / 805, 90% H 2987 / 9667 / 3015.
     """
     runs, sweeps = 20, 500
     efforts, lines = {}, []

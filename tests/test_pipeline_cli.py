@@ -271,18 +271,39 @@ class TestPipeline:
         assert capsys.readouterr().out == ""
 
     def test_anneal_run_does_not_load_scipy_optimize(self):
-        # scipy.optimize costs about 0.3 s and 45 MB to import; only vqe needs it
+        # scipy.optimize costs about 0.3 s and 45 MB to import; only vqe needs it.
+        # multiprocessing (with socket and logging) is needed only by workers > 1.
         snippet = (
             "import sys; sys.path.insert(0, sys.argv[1]); import hpfold as hp; "
             "hp.solve_sequence(hp.RunConfig(sequence='HPPH', sweeps=20, restarts=2, "
-            "draws=1, seed=1)); print('scipy.optimize' in sys.modules)"
+            "draws=1, seed=1)); "
+            "print('scipy.optimize' in sys.modules, 'multiprocessing' in sys.modules)"
         )
         src = str(Path(hp.__file__).resolve().parent.parent)
         done = subprocess.run(
             [sys.executable, "-I", "-c", snippet, src],
             capture_output=True, text=True, timeout=120, check=True,
         )
-        assert done.stdout.split() == ["False"]
+        assert done.stdout.split() == ["False", "False"]
+
+    def test_blas_threads_do_not_change_an_anneal_run(self, tmp_path):
+        # every class step of the annealer updates the fields with a matrix product
+        snippet = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import hpfold as hp; "
+            "hp.run_pipeline(hp.RunConfig(sequence='HHPPPPHHPPHPHPHHPPHPHPHPHHPP', "
+            "sweeps=30, restarts=64, draws=2, seed=5, out_dir=sys.argv[2], formats=('json',)))"
+        )
+        src = str(Path(hp.__file__).resolve().parent.parent)
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-I", "-c", snippet, src, str(out)],
+                env=env, capture_output=True, timeout=300, check=True,
+            )
+            runs.append({name: (out / name).read_bytes() for name in ("result.json", "samples.json")})
+        assert runs[0] == runs[1]
 
 
 class TestCli:

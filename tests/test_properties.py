@@ -252,62 +252,52 @@ def test_unique_rows_matches_numpy_row_unique(width, pool, rows, seed):
 
 
 def reference_anneal(q, sched):
-    """The annealer as a plain loop over every (sweep, variable) step, with
-    row-wise ``np.unique`` dedup: the oracle for ``solvers.anneal``."""
+    """The annealer as a plain loop over every (sweep, class) step, with
+    row-wise ``np.unique`` dedup and a scan for the best state: the oracle
+    for ``solvers.anneal``."""
     n = q.n_vars
     const, lin, quad = q.to_dense()
+    perm, starts = solvers.coupling_classes(quad)
+    lin, quad = lin[perm, None], quad[np.ix_(perm, perm)]
     rng = np.random.default_rng(sched.seed)
     r = sched.restarts
 
-    x = rng.integers(0, 2, size=(r, n)).astype(float)
-    g = lin + x @ quad  # g[s, j] = flip cost of x_j from 0 to 1 in state s
-    energy = const + x @ lin + 0.5 * np.einsum("si,si->s", x @ quad, x)
-
-    best_energy = energy.copy()
-    best_x = x.copy()
-    best_sweep = np.zeros(r, dtype=int)
+    x = rng.integers(0, 2, size=(r, n)).T[perm].astype(float)
+    g = lin + quad @ x  # g[j, s] = flip cost of x_j from 0 to 1 in state s
 
     sweeps = sched.sweeps
-    snap_states = np.empty((sweeps, r, n), dtype=np.uint8)
-
-    trace = []
+    snap_states = np.empty((sweeps, n, r), dtype=np.uint8)
     for sweep, t in enumerate(sched.temperatures()):
-        order = rng.permutation(n)
-        # accept iff u < exp(-dE/T), i.e. dE < -T*log(u); 1-u is uniform too
+        order = rng.permutation(len(starts) - 1)
         thresholds = -t * np.log(1.0 - rng.random((n, r)))
-        for step in range(n):
-            j = order[step]
-            sign = 1.0 - 2.0 * x[:, j]
-            d_energy = g[:, j] * sign
-            accept = d_energy < thresholds[step]
+        for c in order:
+            cls = slice(starts[c], starts[c + 1])
+            sign = 1.0 - 2.0 * x[cls]
+            accept = g[cls] * sign < thresholds[cls]
             delta = sign * accept
-            x[:, j] += delta
-            energy += d_energy * accept
-            g += delta[:, None] * quad[j]
-        improved = energy < best_energy
-        if improved.any():
-            best_energy[improved] = energy[improved]
-            best_x[improved] = x[improved]
-            best_sweep[improved] = sweep
+            x[cls] += delta
+            g += quad[cls].T @ delta
         snap_states[sweep] = x
-        trace.append((sweep, float(energy.min()), float(best_energy.min())))
 
-    all_states = np.concatenate(
-        [snap_states.reshape(sweeps * r, n), best_x.astype(np.uint8)]
-    )
-    all_sweeps = np.concatenate([np.repeat(np.arange(sweeps), r), best_sweep])
-    uniq, inverse = np.unique(all_states, axis=0, return_inverse=True)
+    states = snap_states[:, np.argsort(perm)].transpose(0, 2, 1).reshape(sweeps * r, n)
+    uniq, first, inverse = np.unique(states, axis=0, return_index=True, return_inverse=True)
     uniq_energy = q.energies(uniq)
+    energy = uniq_energy[inverse].reshape(sweeps, r)
+    trace, best, best_at = [], math.inf, None
+    for sweep in range(sweeps):
+        for s in range(r):
+            if energy[sweep, s] < best:
+                best, best_at = energy[sweep, s], (sweep, s)
+        trace.append((sweep, float(energy[sweep].min()), float(best)))
     uniq_first = np.full(uniq.shape[0], sweeps)
-    np.minimum.at(uniq_first, inverse, all_sweeps)
+    np.minimum.at(uniq_first, inverse, np.repeat(np.arange(sweeps), r))
     uniq_counts = np.bincount(inverse, minlength=uniq.shape[0])
     order = np.argsort(uniq_energy, kind="stable")[: solvers.KEPT_SAMPLES]
     samples = ising.SampleSet(uniq[order], uniq_counts[order], uniq_energy[order])
 
-    winner = int(np.argmin(best_energy))
     return solvers.SolveResult(
-        best_bits=tuple(int(b) for b in best_x[winner]),
-        best_value=float(uniq_energy[inverse[sweeps * r + winner]]),
+        best_bits=tuple(int(b) for b in states[best_at[0] * r + best_at[1]]),
+        best_value=float(best),
         samples=samples,
         trace=tuple(trace),
         provenance={
@@ -317,7 +307,7 @@ def reference_anneal(q, sched):
             "t_final": sched.t_final,
             "sweeps": sched.sweeps,
             "restarts": sched.restarts,
-            "sweeps_to_best": int(best_sweep[winner]),
+            "sweeps_to_best": best_at[0],
         },
         sample_first_seen=uniq_first[order],
     )
@@ -329,19 +319,25 @@ LADDERS = {"hot": (1e4, 1e3), "cold": (1e-2, 1e-4), "cross": (10.0, 1e-3)}
 
 
 @st.composite
-def anneal_cases(draw):
+def anneal_cases(draw, exact=False):
+    """A dense QUBO and a schedule; with ``exact``, small integers times a
+    power of two, on which every sum of coefficients is exact."""
     n = draw(st.integers(0, 12))
-    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 7.0, 50.0]))
+    if exact:
+        scale = 2.0 ** draw(st.integers(-10, 6))
+    else:
+        scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 7.0, 50.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):  # small integers, so that energies tie
+    if exact or draw(st.booleans()):  # small integers, so that energies tie
         lin = rng.integers(-2, 3, size=n) * scale
         upper = rng.integers(-2, 3, size=(n, n)) * scale
     else:
         lin = rng.uniform(-scale, scale, size=n)
         upper = rng.uniform(-scale, scale, size=(n, n))
     upper = np.triu(upper * (rng.random((n, n)) < draw(st.sampled_from([0.2, 1.0]))), 1)
+    const = rng.integers(-2, 3) * scale if exact else rng.uniform(-scale, scale)
     q = encoder.QuboProblem(
-        float(rng.uniform(-scale, scale)), lin, upper + upper.T,
+        float(const), lin, upper + upper.T,
         SimpleNamespace(n_vars=n),  # anneal reads only the variable count
         encoder.PenaltyConfig(1.0, 1.0, 1.0, 1.0, 1.0),
         encoder.AxisDraw(overlap={}, crossing={}),
@@ -357,11 +353,7 @@ def anneal_cases(draw):
     return q, sched
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=anneal_cases())
-def test_anneal_matches_the_plain_loop(case):
-    q, sched = case
-    got, want = anneal(q, sched), reference_anneal(q, sched)
+def assert_same_run(got, want):
     assert got.best_bits == want.best_bits
     assert repr(got.best_value) == repr(want.best_value)
     assert repr(got.trace) == repr(want.trace)
@@ -370,6 +362,109 @@ def test_anneal_matches_the_plain_loop(case):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert np.array_equal(got.sample_first_seen, want.sample_first_seen)
     assert got.provenance == want.provenance
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=anneal_cases())
+def test_anneal_matches_the_plain_loop(case):
+    q, sched = case
+    assert_same_run(anneal(q, sched), reference_anneal(q, sched))
+
+
+def scalar_anneal(q, sched):
+    """One variable flips at a time, in Python scalars: classes in the
+    sweep's order, members by index, restarts in turn, with an incremental
+    energy. It shares no code with ``solvers.anneal`` and equals it only
+    where every sum is exact, as on small integers times a power of two."""
+    n, r = q.n_vars, sched.restarts
+    const, lin, quad = q.to_dense()
+    colour = []
+    for i in range(n):  # greedy, in index order
+        taken = {colour[j] for j in range(i) if quad[i, j] != 0}
+        colour.append(min(set(range(i + 1)) - taken))
+    classes = [[v for v in range(n) if colour[v] == c] for c in range(len(set(colour)))]
+    row = {v: k for k, v in enumerate(v for cls in classes for v in cls)}  # threshold row
+
+    rng = np.random.default_rng(sched.seed)
+    x = rng.integers(0, 2, size=(r, n)).tolist()
+    g = [[lin[k] + sum(quad[k, j] * x[s][j] for j in range(n)) for k in range(n)] for s in range(r)]
+    energy = [
+        const + sum(lin[i] * x[s][i] + sum(quad[i, j] * x[s][i] * x[s][j] for j in range(i))
+                    for i in range(n))
+        for s in range(r)
+    ]
+    seen = {}  # state -> [count, first sweep, energy]
+    trace, best, best_at = [], math.inf, None
+    for sweep, t in enumerate(sched.temperatures()):
+        order = rng.permutation(len(classes))
+        thresholds = -t * np.log(1.0 - rng.random((n, r)))
+        for c in order:
+            for v in classes[c]:
+                for s in range(r):
+                    sign = 1 - 2 * x[s][v]
+                    if g[s][v] * sign < thresholds[row[v], s]:
+                        x[s][v] += sign
+                        energy[s] += g[s][v] * sign
+                        for k in range(n):
+                            g[s][k] += sign * quad[v, k]
+        for s in range(r):
+            state = tuple(x[s])
+            seen.setdefault(state, [0, sweep, energy[s]])[0] += 1
+            if energy[s] < best:
+                best, best_at = energy[s], (sweep, state)
+        trace.append((sweep, float(min(energy)), float(best)))
+
+    kept = sorted(seen, key=lambda b: (seen[b][2], b))[: solvers.KEPT_SAMPLES]
+    return solvers.SolveResult(
+        best_bits=best_at[1],
+        best_value=float(best),
+        samples=ising.SampleSet(
+            np.array(kept, dtype=np.uint8).reshape(len(kept), n),
+            np.array([seen[b][0] for b in kept]),
+            np.array([seen[b][2] for b in kept], dtype=float),
+        ),
+        trace=tuple(trace),
+        provenance={
+            "solver": "anneal",
+            "seed": sched.seed,
+            "t_initial": sched.t_initial,
+            "t_final": sched.t_final,
+            "sweeps": sched.sweeps,
+            "restarts": sched.restarts,
+            "sweeps_to_best": best_at[0],
+        },
+        sample_first_seen=np.array([seen[b][1] for b in kept]),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=anneal_cases(exact=True))
+def test_anneal_matches_one_flip_at_a_time(case):
+    # Class steps flip uncoupled variables together and update the fields
+    # with one product; in exact arithmetic that is the single-flip chain.
+    q, sched = case
+    assert_same_run(anneal(q, sched), scalar_anneal(q, sched))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(0, 24),
+    density=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coupling_classes_are_independent_sets(n, density, seed):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(-2, 3, size=(n, n)) * (rng.random((n, n)) < density), 1)
+    quad = (upper + upper.T).astype(float)
+    perm, starts = solvers.coupling_classes(quad)
+    assert sorted(perm.tolist()) == list(range(n))  # a partition of the variables
+    assert starts[0] == 0 and starts[-1] == n and np.all(np.diff(starts) > 0)
+    for a, b in zip(starts, starts[1:]):
+        cls = perm[a:b]
+        assert np.all(np.diff(cls) > 0)  # members in index order
+        assert not np.any(quad[np.ix_(cls, cls)])
+    again = solvers.coupling_classes(quad.copy())
+    assert np.array_equal(again[0], perm) and np.array_equal(again[1], starts)
 
 
 def merged_ranking(entries, top_k):

@@ -10,6 +10,7 @@ from hpfold.polynomial import BinaryPolynomial
 from hpfold.solvers import (
     AnnealSchedule,
     anneal,
+    coupling_classes,
     default_schedule,
     exhaustive,
     postselect,
@@ -103,6 +104,31 @@ class TestAnneal:
         assert sched.t_final == pytest.approx(t_final)
         res = anneal(q, sched)
         assert res.best_value == q.evaluate(res.best_bits)
+
+
+class TestCouplingClasses:
+    def test_no_variables(self):
+        perm, starts = coupling_classes(np.zeros((0, 0)))
+        assert perm.shape == (0,) and starts.tolist() == [0]
+
+    def test_one_variable(self):
+        perm, starts = coupling_classes(np.zeros((1, 1)))
+        assert perm.tolist() == [0] and starts.tolist() == [0, 1]
+
+    def test_uncoupled_variables_form_one_class(self):
+        perm, starts = coupling_classes(np.zeros((5, 5)))
+        assert perm.tolist() == [0, 1, 2, 3, 4] and starts.tolist() == [0, 5]
+
+    def test_greedy_in_index_order(self):
+        # the path 0-1-2-3 colours as 0, 1, 0, 1
+        quad = np.zeros((4, 4))
+        for i, j in ((0, 1), (1, 2), (2, 3)):
+            quad[i, j] = quad[j, i] = -1.0
+        perm, starts = coupling_classes(quad)
+        assert perm.tolist() == [0, 2, 1, 3] and starts.tolist() == [0, 2, 4]
+        quad[0, 2] = quad[2, 0] = 0.5  # 2 now meets colours 0 and 1, so 3 takes 0
+        perm, starts = coupling_classes(quad)
+        assert perm.tolist() == [0, 3, 1, 2] and starts.tolist() == [0, 2, 3, 4]
 
 
 class TestExhaustive:
