@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional
 
 import numpy as np
@@ -33,6 +33,8 @@ from .polynomial import PRUNE_THRESHOLD, BinaryPolynomial
 HALVES = ("plus", "minus")
 
 _AXIS_OFFSET = {"x": 0, "y": 1, "z": 2}
+# Default crossing reward weight that calibration starts from.
+LAMBDA3_HINT = 0.5
 _HALF_OFFSET = {"plus": 0, "minus": 1}
 
 
@@ -167,18 +169,12 @@ class PenaltyConfig:
     lambda4: float  # plus/minus pair-exclusion penalty
 
     def __post_init__(self):
-        for name in ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4"):
-            if getattr(self, name) < 0:
+        for name, value in self.to_dict().items():
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda3": self.lambda3,
-            "lambda4": self.lambda4,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PenaltyConfig":
@@ -187,7 +183,7 @@ class PenaltyConfig:
 
 def calibrate_penalties(
     seq: HpSequence,
-    lambda3_hint: float = 0.5,
+    lambda3_hint: float = LAMBDA3_HINT,
     overrides: Optional[Mapping[str, float]] = None,
 ) -> PenaltyConfig:
     """Balance the objective weight against the two separation rewards.

@@ -14,12 +14,14 @@ import io
 import json
 import os
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from . import model
 from .encoder import (
+    LAMBDA3_HINT,
     PenaltyConfig,
     QuboProblem,
     VariableLayout,
@@ -30,7 +32,10 @@ from .encoder import (
 )
 from .ising import basis_energies
 from .solvers import (
+    CVAR_ALPHA,
     EXHAUSTIVE_VARIABLE_BUDGET,
+    TOP_K,
+    AnnealSchedule,
     AnsatzSpec,
     SolveResult,
     VqeSettings,
@@ -52,28 +57,30 @@ class PipelineIOError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one reproducible pipeline run depends on."""
+    """Everything one reproducible pipeline run depends on. A setting that a
+    library layer also takes names that layer's default, except ``shots``: the
+    library is exact (0) by default, a run samples."""
 
     sequence: str
     solver: str = "anneal"
     draws: int = 50
-    restarts: int = 20
-    sweeps: int = 2000
-    alpha: float = 0.05
+    restarts: int = AnnealSchedule.restarts
+    sweeps: int = AnnealSchedule.sweeps
+    alpha: float = CVAR_ALPHA
     shots: int = 4000
-    reps: int = 1
-    top_k: int = 4000
-    fix_first_turn: bool = True
+    reps: int = AnsatzSpec.reps
+    top_k: int = TOP_K
+    fix_first_turn: bool = VariableLayout.first_turn_fixed
     allow_steric: bool = True
     lambda_overrides: Optional[dict[str, float]] = None
-    lambda3_hint: float = 0.5
+    lambda3_hint: float = LAMBDA3_HINT
     weights: Optional[dict[tuple[int, int], float]] = None
     seed: int = 0
     out_dir: str = "hpfold_out"
     formats: tuple[str, ...] = FORMATS
     export_qubo: bool = False
     resume_params: Optional[tuple[float, ...]] = None
-    max_evals: int = 500
+    max_evals: int = VqeSettings.max_evals
     workers: int = 1
 
     def __post_init__(self):
@@ -124,6 +131,8 @@ def _solve_one_draw(
     layout: VariableLayout,
     penalties: PenaltyConfig,
     cfg: RunConfig,
+    spec: Optional[AnsatzSpec],
+    settings: Optional[VqeSettings],
     draw_idx: int,
 ) -> DrawOutcome:
     draw_seed = _derived_seed(cfg.seed, draw_idx, 0)
@@ -134,21 +143,14 @@ def _solve_one_draw(
     q = assemble(seq, layout, penalties, axis_draw, rng_seed=draw_seed)
 
     if cfg.solver == "anneal":
-        sched = default_schedule(
-            q, sweeps=cfg.sweeps, restarts=cfg.restarts, seed=solver_seed
-        )
-        solved = anneal(q, sched)
+        sched = default_schedule(q, sweeps=cfg.sweeps, restarts=cfg.restarts, seed=solver_seed)
+        solved = anneal(q, sched, keep=cfg.top_k)
     elif cfg.solver == "exhaustive":
         solved = exhaustive(q, keep=cfg.top_k)
     else:
-        spec = AnsatzSpec(n_qubits=q.n_vars, reps=cfg.reps)
-        settings = VqeSettings(
-            max_evals=cfg.max_evals,
-            seed=solver_seed,
-            initial_params=cfg.resume_params,
-        )
         solved = vqe_statevector(
-            basis_energies(q), spec, settings, alpha=cfg.alpha, shots=cfg.shots
+            basis_energies(q), spec, replace(settings, seed=solver_seed),
+            alpha=cfg.alpha, shots=cfg.shots, keep=cfg.top_k,
         )
 
     selected = postselect(
@@ -163,10 +165,6 @@ def _solve_one_draw(
     )
 
 
-def _draw_task(args) -> DrawOutcome:
-    return _solve_one_draw(*args)
-
-
 def solve_sequence(cfg: RunConfig) -> PipelineResult:
     """Run the draw ensemble and pick the overall best conformation."""
     seq = model.parse_sequence(cfg.sequence, weights=cfg.weights)
@@ -175,21 +173,21 @@ def solve_sequence(cfg: RunConfig) -> PipelineResult:
         raise ValueError(
             f"{layout.n_vars} variables exceed the exhaustive budget of {EXHAUSTIVE_VARIABLE_BUDGET}"
         )
+    spec = settings = None
     if cfg.solver == "vqe":  # AnsatzSpec enforces the qubit budget
-        check_vqe_settings(
-            AnsatzSpec(n_qubits=layout.n_vars, reps=cfg.reps),
-            VqeSettings(max_evals=cfg.max_evals, initial_params=cfg.resume_params),
-        )
+        spec = AnsatzSpec(n_qubits=layout.n_vars, reps=cfg.reps)
+        settings = VqeSettings(max_evals=cfg.max_evals, initial_params=cfg.resume_params)
+        check_vqe_settings(spec, settings)
     penalties = calibrate_penalties(seq, cfg.lambda3_hint, cfg.lambda_overrides)
 
-    tasks = [(seq, layout, penalties, cfg, d) for d in range(cfg.draws)]
+    args = (*map(repeat, (seq, layout, penalties, cfg, spec, settings)), range(cfg.draws))
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only workers > 1 loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_draw_task, tasks))
+            outcomes = list(pool.map(_solve_one_draw, *args))
     else:
-        outcomes = [_draw_task(t) for t in tasks]
+        outcomes = list(map(_solve_one_draw, *args))
 
     def rank(out: DrawOutcome):
         sel = out.selected

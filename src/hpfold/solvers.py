@@ -21,8 +21,10 @@ from .encoder import QuboProblem, VariableLayout, crossing_pairs, overlap_pairs
 from .ising import SampleSet, cvar, unique_rows
 
 EXHAUSTIVE_VARIABLE_BUDGET = 24
-# Distinct states that an annealing run or an exact VQE distribution passes on.
-KEPT_SAMPLES = 4096
+# Distinct states each solver passes on by default, and post-selection's candidate count.
+TOP_K = 4000
+# Default CVaR tail fraction of the variational objective.
+CVAR_ALPHA = 0.05
 # A simplex restart perturbs the best parameters uniformly within +-RESTART_SCALE * pi.
 RESTART_SCALE = 0.3
 # Per-candidate counts from candidate_counts, in column order; all but the last are violations.
@@ -55,12 +57,12 @@ class AnnealSchedule:
 
 
 def default_schedule(
-    q: QuboProblem, sweeps: int = 2000, restarts: int = 20, seed: int = 0
+    q: QuboProblem, sweeps: int = AnnealSchedule.sweeps,
+    restarts: int = AnnealSchedule.restarts, seed: int = 0,
 ) -> AnnealSchedule:
     """Scale the start temperature to the largest coefficient so early
-    acceptance is near-uniform. The final temperature is 0.01, or a hundredth
-    of the start where coefficients are below 1e-3; a problem whose
-    coefficients are all zero or subnormal anneals from 1 to 0.01."""
+    acceptance is near-uniform. It falls to ``AnnealSchedule.t_final``, or to a
+    hundredth of the start if lower; all-zero or subnormal coefficients start at 1."""
     const, lin, quad = q.to_dense()
     scale = max(
         float(np.max(np.abs(lin))) if lin.size else 0.0,
@@ -69,7 +71,7 @@ def default_schedule(
     t_init = 10.0 * scale if scale >= np.finfo(float).tiny else 1.0
     return AnnealSchedule(
         t_initial=t_init,
-        t_final=min(0.01, t_init / 100),
+        t_final=min(AnnealSchedule.t_final, t_init / 100),
         sweeps=sweeps,
         restarts=restarts,
         seed=seed,
@@ -113,7 +115,7 @@ def coupling_classes(quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, starts
 
 
-def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
+def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> SolveResult:
     """Simulated annealing with Metropolis single-flip sweeps over colour classes.
 
     All restarts run in lockstep as columns of one state matrix. The
@@ -132,8 +134,8 @@ def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
     packed-bit keys (``ising.unique_rows``). Energies, the trace and the best
     state all come from energies recomputed from the states, so they do not
     depend on the path taken; the best state is the first one recorded at
-    the lowest energy. The lowest-energy ``KEPT_SAMPLES`` distinct states
-    form the returned population.
+    the lowest energy. The ``keep`` lowest-energy distinct states, ties by
+    bitstring, form the returned population.
     """
     n = q.n_vars
     const, lin, quad = q.to_dense()
@@ -197,7 +199,7 @@ def anneal(q: QuboProblem, sched: AnnealSchedule) -> SolveResult:
     sweep_min = energy.reshape(sweeps, r).min(axis=1)
     trace = zip(range(sweeps), sweep_min.tolist(), np.minimum.accumulate(sweep_min).tolist())
     uniq_counts = np.bincount(inverse, minlength=uniq.shape[0])
-    order = np.argsort(uniq_energy, kind="stable")[:KEPT_SAMPLES]
+    order = np.argsort(uniq_energy, kind="stable")[:keep]
     samples = SampleSet(uniq[order], uniq_counts[order], uniq_energy[order])
 
     return SolveResult(
@@ -227,7 +229,7 @@ def _subset_sums(start: float, terms: np.ndarray, out: np.ndarray) -> None:
         np.add(out[: 1 << j], term, out=out[1 << j : 2 << j])
 
 
-def exhaustive(q: QuboProblem, keep: int = 4096) -> SolveResult:
+def exhaustive(q: QuboProblem, keep: int = TOP_K) -> SolveResult:
     """Exact scan of all 2^n assignments; retains the ``keep`` lowest states.
 
     States are ranked by energy, then by state index (bit i of the index is
@@ -331,18 +333,20 @@ def vqe_statevector(
     energies: np.ndarray,
     spec: AnsatzSpec,
     settings: VqeSettings = VqeSettings(),
-    alpha: float = 0.05,
+    alpha: float = CVAR_ALPHA,
     shots: int = 0,
+    keep: int = TOP_K,
 ) -> SolveResult:
     """Minimize the CVaR of the measured energy over the ansatz parameters.
 
     ``energies`` holds the energy of every basis state, indexed by state
     (``ising.basis_energies``). With ``shots = 0`` the objective is the CVaR
     of the exact basis distribution; otherwise each evaluation draws a fresh
-    multinomial sample. A Nelder-Mead simplex search runs under a total
-    evaluation budget (see ``check_vqe_settings``) and restarts from a perturbed
-    best point whenever it converges early; with no parameters it evaluates
-    once. Returns the sampled population at the best parameters.
+    multinomial sample (the default is exact; ``RunConfig.shots`` samples). A
+    Nelder-Mead simplex search runs under a total evaluation budget (see
+    ``check_vqe_settings``) and restarts from a perturbed best point whenever it
+    converges early; with no parameters it evaluates once. Returns the population
+    at the best parameters: the sampled states, or the ``keep`` most probable.
     """
     from scipy.optimize import minimize  # here, so that only vqe loads scipy
 
@@ -396,7 +400,7 @@ def vqe_statevector(
         kept = counts.nonzero()[0]
         counts = counts[kept]
     else:
-        kept = np.argsort(-final_probs, kind="stable")[:KEPT_SAMPLES]
+        kept = np.argsort(-final_probs, kind="stable")[:keep]
         kept = kept[final_probs[kept] > 1e-12]
         counts = np.ones(kept.size, dtype=int)
     rows = (kept[:, None] >> np.arange(n)) & 1
@@ -470,7 +474,7 @@ def postselect(
     samples: SampleSet,
     q: QuboProblem,
     seq: model.HpSequence,
-    top_k: int = 4000,
+    top_k: int = TOP_K,
     allow_steric: bool = True,
 ) -> SolveResult:
     """Pick the best geometrically valid conformation from a sample population.

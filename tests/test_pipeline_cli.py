@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -43,6 +44,33 @@ class TestRunConfig:
     def test_resume_only_for_vqe(self):
         with pytest.raises(ValueError):
             RunConfig(sequence="HPH", solver="anneal", resume_params=(0.0,))
+
+    def test_library_defaults_are_run_config_defaults(self):
+        run = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+        def library_default(owner, name):
+            if dataclasses.is_dataclass(owner):
+                return next(f.default for f in dataclasses.fields(owner) if f.name == name)
+            return inspect.signature(owner).parameters[name].default
+
+        for owner, name, run_name in [
+            (hp.exhaustive, "keep", "top_k"),
+            (hp.anneal, "keep", "top_k"),
+            (hp.vqe_statevector, "keep", "top_k"),
+            (hp.postselect, "top_k", "top_k"),
+            (hp.default_schedule, "sweeps", "sweeps"),
+            (hp.default_schedule, "restarts", "restarts"),
+            (hp.AnnealSchedule, "sweeps", "sweeps"),
+            (hp.AnnealSchedule, "restarts", "restarts"),
+            (hp.calibrate_penalties, "lambda3_hint", "lambda3_hint"),
+            (hp.vqe_statevector, "alpha", "alpha"),
+            (hp.VqeSettings, "max_evals", "max_evals"),
+            (hp.AnsatzSpec, "reps", "reps"),
+            (hp.VariableLayout, "first_turn_fixed", "fix_first_turn"),
+        ]:
+            assert library_default(owner, name) == run[run_name], (owner.__name__, name)
+        # on purpose: the library's VQE is exact by default, a run samples
+        assert library_default(hp.vqe_statevector, "shots") == 0 < run["shots"]
 
 
 class TestPipeline:
@@ -209,16 +237,41 @@ class TestPipeline:
         assert result.sequence.weight(1, 3) == 2.5
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        base = dict(
-            sequence="HPH", solver="exhaustive", draws=3, seed=11, formats=("json",)
-        )
-        _, serial, _ = hp.run_pipeline(
-            RunConfig(out_dir=str(tmp_path / "s"), workers=1, **base)
-        )
-        _, parallel, _ = hp.run_pipeline(
-            RunConfig(out_dir=str(tmp_path / "p"), workers=2, **base)
-        )
-        assert result_document(serial) == result_document(parallel)
+        # each task carries the run's settings, the VQE ones included, to its worker
+        for solver, extra in [
+            ("exhaustive", {}),
+            ("anneal", {"sweeps": 40, "restarts": 3}),
+            ("vqe", {"max_evals": 40, "shots": 64, "top_k": 20,
+                     "resume_params": tuple(0.1 * i for i in range(18))}),
+        ]:
+            base = dict(
+                sequence="HPH", solver=solver, draws=3, seed=11, formats=("json",), **extra
+            )
+            _, serial, _ = hp.run_pipeline(
+                RunConfig(out_dir=str(tmp_path / solver / "s"), workers=1, **base)
+            )
+            _, parallel, _ = hp.run_pipeline(
+                RunConfig(out_dir=str(tmp_path / solver / "p"), workers=2, **base)
+            )
+            assert result_document(serial) == result_document(parallel), solver
+            samples = [(tmp_path / solver / d / "samples.json").read_bytes() for d in "sp"]
+            assert samples[0] == samples[1], solver
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            dict(sequence="HPPHPPHPHH", solver="anneal", seed=3),
+            dict(sequence="HPPHH", solver="vqe", shots=0, max_evals=56),
+        ],
+        ids=["anneal", "vqe"],
+    )
+    def test_top_k_sizes_every_solver(self, extra):
+        # anneal at paper settings and exact VQE at 18 qubits both have more
+        # than 5000 distinct states to pass on
+        result = solve_sequence(RunConfig(draws=1, top_k=5000, **extra))
+        provenance = result.best.selected.provenance
+        assert provenance["top_k"] == provenance["candidates"] == 5000
+        assert len(result.best.selected.samples.bits) == 5000
 
     @pytest.mark.parametrize(
         "solver,extra",

@@ -292,7 +292,7 @@ def reference_anneal(q, sched):
     uniq_first = np.full(uniq.shape[0], sweeps)
     np.minimum.at(uniq_first, inverse, np.repeat(np.arange(sweeps), r))
     uniq_counts = np.bincount(inverse, minlength=uniq.shape[0])
-    order = np.argsort(uniq_energy, kind="stable")[: solvers.KEPT_SAMPLES]
+    order = np.argsort(uniq_energy, kind="stable")[: solvers.TOP_K]
     samples = ising.SampleSet(uniq[order], uniq_counts[order], uniq_energy[order])
 
     return solvers.SolveResult(
@@ -414,7 +414,7 @@ def scalar_anneal(q, sched):
                 best, best_at = energy[s], (sweep, state)
         trace.append((sweep, float(min(energy)), float(best)))
 
-    kept = sorted(seen, key=lambda b: (seen[b][2], b))[: solvers.KEPT_SAMPLES]
+    kept = sorted(seen, key=lambda b: (seen[b][2], b))[: solvers.TOP_K]
     return solvers.SolveResult(
         best_bits=best_at[1],
         best_value=float(best),
