@@ -3,15 +3,17 @@
 Three routes to low-energy bitstrings: a single-flip Metropolis annealer
 that proposes uncoupled variables together, an exact exhaustive scan for
 small variable counts, and a CVaR objective variational loop over an exact
-statevector. Post-selection then checks every sampled bitstring's geometry
-in one array pass and keeps the maximum-contact feasible conformation.
+statevector. The loop's optimizer is an in-package Nelder-Mead simplex that
+evaluates the same points as scipy's, so every solver runs on numpy alone.
+Post-selection then checks every sampled bitstring's geometry in one array
+pass and keeps the maximum-contact feasible conformation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -329,6 +331,78 @@ def check_vqe_settings(spec: AnsatzSpec, settings: VqeSettings) -> None:
         )
 
 
+class _BudgetSpent(Exception):
+    """Raised by ``_nelder_mead``'s counter at the first call past ``maxfev``."""
+
+
+def _by_value(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(
+    f: Callable[[np.ndarray], float], x0: np.ndarray, maxfev: int, xatol: float, fatol: float
+) -> None:
+    """Nelder-Mead simplex search for a minimum of ``f``, starting at ``x0``.
+
+    A port of scipy's unbounded, non-adaptive ``minimize(method="Nelder-Mead")``
+    with the options ``maxfev``, ``xatol`` and ``fatol``: ``f`` gets the same
+    points (each its own copy) in the same order, and the search stops where
+    scipy's budget refuses a call, even partway through a step. It returns
+    nothing; the caller keeps what it needs from the calls of ``f``.
+    """
+    calls = 0
+
+    def func(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return f(np.copy(x))
+
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    diag = np.arange(n)
+    sim[diag + 1, diag] = np.where(sim[0] != 0, 1.05 * sim[0], 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = func(sim[k])
+        # scipy sorts the first simplex twice; an unstable argsort may reorder ties again
+        sim, fsim = _by_value(*_by_value(sim, fsim))
+        while calls < maxfev:
+            x_spread = np.abs(sim[1:] - sim[0]).max()
+            if x_spread <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+                return
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]  # reflection
+            fxr = func(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]  # expansion
+                fxe = func(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]  # outside contraction
+                    fxc = func(xc)
+                    kept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]  # inside contraction
+                    fxc = func(xc)
+                    kept = fxc < fsim[-1]
+                if kept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+            sim, fsim = _by_value(sim, fsim)
+    except _BudgetSpent:
+        return
+
+
 def vqe_statevector(
     energies: np.ndarray,
     spec: AnsatzSpec,
@@ -343,13 +417,12 @@ def vqe_statevector(
     (``ising.basis_energies``). With ``shots = 0`` the objective is the CVaR
     of the exact basis distribution; otherwise each evaluation draws a fresh
     multinomial sample (the default is exact; ``RunConfig.shots`` samples). A
-    Nelder-Mead simplex search runs under a total evaluation budget (see
+    Nelder-Mead simplex search (``_nelder_mead``, which calls the objective at
+    scipy's points) runs under a total evaluation budget (see
     ``check_vqe_settings``) and restarts from a perturbed best point whenever it
     converges early; with no parameters it evaluates once. Returns the population
     at the best parameters: the sampled states, or the ``keep`` most probable.
     """
-    from scipy.optimize import minimize  # here, so that only vqe loads scipy
-
     n = spec.n_qubits
     if np.shape(energies) != (1 << n,):
         raise ValueError(f"{np.size(energies)} basis energies for {n} qubits")
@@ -386,12 +459,7 @@ def vqe_statevector(
         objective(x0)
     start = x0
     while spec.n_params and (budget := settings.max_evals - state["evals"]) >= spec.n_params + 2:
-        minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"maxfev": budget, "xatol": 1e-4, "fatol": 1e-6},
-        )
+        _nelder_mead(objective, start, budget, xatol=1e-4, fatol=1e-6)
         start = state["best_params"] + RESTART_SCALE * random_initial_params(spec, rng)
 
     final_probs = probabilities(simulate(spec, state["best_params"]))

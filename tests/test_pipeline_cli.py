@@ -339,6 +339,37 @@ class TestPipeline:
         )
         assert done.stdout.split() == ["False", "False"]
 
+    def test_vqe_run_does_not_load_scipy(self):
+        # vqe's Nelder-Mead is in the package; scipy is only the tests' oracle
+        snippet = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import hpfold as hp; "
+            "hp.solve_sequence(hp.RunConfig(sequence='HPPH', solver='vqe', max_evals=60, "
+            "draws=1, seed=1)); print('scipy' in sys.modules)"
+        )
+        src = str(Path(hp.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", snippet, src],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize("solver", ["anneal", "exhaustive", "vqe"])
+    def test_cli_runs_without_scipy(self, solver, tmp_path):
+        # a None entry in sys.modules makes every import of scipy fail
+        snippet = (
+            "import sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]); "
+            "from hpfold.cli import main; sys.exit(main(['--seq', 'HPPH', '--solver', "
+            "sys.argv[2], '--draws', '1', '--sweeps', '20', '--restarts', '2', "
+            "'--max-evals', '60', '--out-dir', sys.argv[3]]))"
+        )
+        src = str(Path(hp.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", snippet, src, solver, str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert strict_json(tmp_path / "result.json")["solver"] == solver
+
     def test_blas_threads_do_not_change_an_anneal_run(self, tmp_path):
         # every class step of the annealer updates the fields with a matrix product
         snippet = (

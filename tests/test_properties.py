@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hpfold as hp
@@ -826,6 +826,108 @@ def test_vqe_is_unchanged_by_the_rotation_layer(spec, shots, extra_evals, seed):
     settings_ = VqeSettings(max_evals=spec.n_params + 2 + extra_evals, seed=seed)
     got = vqe_statevector(energies, spec, settings_, shots=shots)
     with mock.patch.object(solvers, "simulate", kron_simulate):
+        want = vqe_statevector(energies, spec, settings_, shots=shots)
+    for name in ("bits", "counts", "energies"):
+        a, b = getattr(got.samples, name), getattr(want.samples, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert repr(got.trace) == repr(want.trace)
+    assert got.best_bits == want.best_bits and got.best_value == want.best_value
+    assert got.provenance == want.provenance
+
+
+def scipy_nelder_mead(f, x0, maxfev, xatol, fatol):
+    """The oracle of ``solvers._nelder_mead``: scipy's Nelder-Mead with the same options."""
+    from scipy.optimize import minimize  # a test dependency; no run imports scipy
+
+    minimize(f, x0, method="Nelder-Mead", options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+
+
+def evaluated_points(search, f, x0, maxfev, xatol, fatol):
+    """The bytes of every point ``search`` passes to ``f``, in call order."""
+    points = []
+
+    def recorded(x):
+        points.append(x.tobytes())
+        return f(x)
+
+    search(recorded, x0, maxfev, xatol, fatol)
+    return points
+
+
+# 0.00025 is the initial step from a zero entry, so the x test meets an exact equality.
+TOLERANCES = st.sampled_from([0.0, 1e-6, 1e-4, 0.00025, 1e-2, 1.0, np.inf])
+
+
+@st.composite
+def simplex_searches(draw):
+    """A start point, an objective, a budget and tolerances for a Nelder-Mead search.
+
+    Dimensions are 1-14 or 36 (12 qubits at reps 1). Objectives are a weighted
+    quadratic, the same rounded to quarters (ties), floored at 3 (a plateau
+    around the minimum) or constant (every value tied)."""
+    n = draw(st.one_of(st.integers(1, 14), st.just(36)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.uniform(-3.0, 3.0, n)
+    x0[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    center, weight = rng.uniform(-2.0, 2.0, n), rng.uniform(0.1, 2.0, n)
+    shape = draw(st.sampled_from(["smooth", "quarters", "floor", "flat"]))
+
+    def f(x):
+        value = float(np.dot(weight, (x - center) ** 2))
+        return {"smooth": value, "quarters": round(4 * value) / 4,
+                "floor": max(value, 3.0), "flat": 1.0}[shape]
+
+    return f, x0, draw(st.integers(n + 2, 400)), draw(TOLERANCES), draw(TOLERANCES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=simplex_searches())
+def test_nelder_mead_evaluates_scipys_points(case):
+    assert evaluated_points(solvers._nelder_mead, *case) == evaluated_points(scipy_nelder_mead, *case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("shape", ["flat", "slope", "bowl"])
+def test_nelder_mead_stops_where_scipy_does_at_every_budget(n, shape):
+    # Each budget cuts the search at a different call. flat makes every step a
+    # reflection, an inside contraction that is not kept and an n-point shrink; slope
+    # makes every step a reflection and an expansion; bowl keeps some reflections and
+    # takes both kinds of contraction.
+    x0 = np.array([1.0, 0.0, -2.0, 0.5, 3.0][:n])
+    f = {"flat": lambda x: 1.0, "slope": lambda x: -float(x.sum()),
+         "bowl": lambda x: float(np.dot(x - 0.3, x - 0.3)) + abs(float(x[0]))}[shape]
+    full = evaluated_points(scipy_nelder_mead, f, x0, 200, 1e-3, 1e-3)
+    for budget in range(n + 2, len(full) + 1):
+        want = evaluated_points(scipy_nelder_mead, f, x0, budget, 1e-3, 1e-3)
+        assert want == full[:budget]
+        assert evaluated_points(solvers._nelder_mead, f, x0, budget, 1e-3, 1e-3) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.builds(
+        AnsatzSpec,
+        n_qubits=st.integers(0, 6),
+        reps=st.sampled_from([1, 2]),
+        entangler=st.sampled_from(["linear", "circular"]),
+    ),
+    shots=st.sampled_from([0, 64]),
+    extra_evals=st.integers(0, 300),
+    resume=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(spec=AnsatzSpec(0), shots=0, extra_evals=0, resume=False, seed=0)  # no parameters
+def test_vqe_is_unchanged_by_the_in_package_simplex(spec, shots, extra_evals, resume, seed):
+    # small-integer energies, so that the CVaR and the best sample meet ties
+    rng = np.random.default_rng(seed)
+    energies = rng.integers(-4, 5, 1 << spec.n_qubits).astype(float)
+    initial = rng.uniform(-np.pi, np.pi, spec.n_params) * (rng.random(spec.n_params) < 0.7)
+    settings_ = VqeSettings(
+        max_evals=spec.n_params + 2 + extra_evals, seed=seed,
+        initial_params=tuple(initial.tolist()) if resume else None,
+    )
+    got = vqe_statevector(energies, spec, settings_, shots=shots)
+    with mock.patch.object(solvers, "_nelder_mead", scipy_nelder_mead):
         want = vqe_statevector(energies, spec, settings_, shots=shots)
     for name in ("bits", "counts", "energies"):
         a, b = getattr(got.samples, name), getattr(want.samples, name)
