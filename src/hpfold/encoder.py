@@ -395,7 +395,8 @@ class QuboProblem:
         if quad.diagonal().any() or not np.array_equal(quad, quad.T):
             raise ValueError("the quadratic matrix must be symmetric with a zero diagonal")
         lin.flags.writeable = quad.flags.writeable = False
-        for name, value in (("const", float(self.const)), ("lin", lin), ("quad", quad)):
+        const = float(self.const) + 0.0  # never -0.0, so adding a zero x·c is a no-op
+        for name, value in (("const", const), ("lin", lin), ("quad", quad)):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
@@ -417,18 +418,21 @@ class QuboProblem:
     def energies(self, bits) -> np.ndarray:
         """Energies of the rows of a (k, n) 0/1 matrix.
 
-        The sum runs term by term over whole columns, so a row's energy never
-        depends on the rest of the batch, as it could under a matrix product.
+        Each is ``const + Σ_k x_k·f_k``, ``f_k = lin_k + Σ_{j<k} quad[j, k]·x_j``, every
+        sum left to right over whole columns (so a row's energy never depends on
+        the batch), the order that ``ising.energy_chunks`` follows too.
         """
         bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[1] != self.n_vars:
             raise ValueError(f"expected a (k, {self.n_vars}) bit matrix, got {bits.shape}")
         cols = np.ascontiguousarray(bits.T, dtype=np.uint8)  # one row per variable
         total = np.full(bits.shape[0], self.const)
-        for i in np.flatnonzero(self.lin):
-            total += self.lin[i] * cols[i]
-        for i, j in zip(*np.nonzero(np.triu(self.quad))):
-            total += self.quad[i, j] * (cols[i] & cols[j])
+        field, term = np.empty(bits.shape[0]), np.empty(bits.shape[0])
+        for k, col in enumerate(cols):
+            field.fill(self.lin[k])
+            for j in np.flatnonzero(self.quad[:k, k]):
+                field += np.multiply(cols[j], self.quad[j, k], out=term)
+            total += np.multiply(field, col, out=term)
         return total
 
     def evaluate(self, bits) -> float:

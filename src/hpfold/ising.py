@@ -1,8 +1,8 @@
 """Basis-state energies of a quadratic binary problem, samples and CVaR.
 
-``basis_energies`` reads all 2^n energies from ``QuboProblem.energies``;
-``solvers.exhaustive`` scans faster and rescores its kept states the same
-way. The diagonal spin-operator form is kept for export and as a test
+``energy_chunks`` enumerates all 2^n energies, equal to ``QuboProblem.energies``
+bit for bit, for ``basis_energies`` and ``solvers.exhaustive``. The
+diagonal spin-operator form is kept for export and as a test
 oracle. Spin convention: bit 0 maps to z = +1 and bit 1 to z = -1, i.e.
 x = (1 - z) / 2. Every computational basis state is an eigenstate, so a
 bitstring's energy is a plain parity sum over the stored coefficients.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -95,19 +95,51 @@ def ising_energy(op: IsingOperator, bits: Sequence[int]) -> float:
 CHUNK = 1 << 16
 
 
-def basis_energies(q: QuboProblem) -> np.ndarray:
-    """Energies of all 2^n computational basis states, indexed by state.
+def _subset_sums(start, terms: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` (2^len(terms) entries) with start + the terms at the set bits of
+    each index, by ascending bit: each prefix's upper half is its lower half + the next term."""
+    out[0] = start
+    for j, term in enumerate(terms):
+        np.add(out[: 1 << j], term, out=out[1 << j : 2 << j])
 
-    State s has bit i equal to (s >> i) & 1. Every energy comes from
-    ``q.energies``, fed ``CHUNK`` index-bit rows at a time to bound memory.
-    """
+
+def _scan(start, fields, quad: np.ndarray, out: np.ndarray, field: np.ndarray) -> None:
+    """Fill ``out`` with ``start + Σ_k x_k·f_k``, ``f_k = fields[k] + Σ_{j<k}
+    quad[j, k]·x_j``, over all settings x, by doubling; ``field`` is scratch."""
+    out[0] = start
+    for k, f in enumerate(fields):
+        _subset_sums(f, quad[:k, k], field[: 1 << k])
+        np.add(out[: 1 << k], field[: 1 << k], out=out[1 << k : 2 << k])
+
+
+def energy_chunks(q: QuboProblem) -> Iterator[np.ndarray]:
+    """Yield the energies of all 2^n states, ``CHUNK`` (rounded down to a power of
+    two) at a time, each equal to ``q.energies`` of its state bit for bit. Chunk c
+    fixes the m lowest variables to the bits of c and holds states c, c + 2^m,
+    c + 2·2^m, ... Their terms come first in every sum, so one doubling over their
+    settings gives each chunk's prefix energy and field starts; a doubling over
+    the other variables adds the rest."""
+    n, quad = q.n_vars, q.quad
+    low = max(0, n - (CHUNK.bit_length() - 1))
+    field, prefix = np.empty(1 << max(low, n - low)), np.empty(1 << low)
+    _scan(q.const, q.lin[:low], quad, prefix, field)
+    starts = np.empty((1 << low, n - low))  # per chunk, the fields of the other variables
+    _subset_sums(q.lin[low:], quad[:low, low:], starts)
+    for c in range(1 << low):
+        energy = np.empty(1 << (n - low))
+        _scan(prefix[c], starts[c], quad[low:, low:], energy, field)
+        yield energy
+
+
+def basis_energies(q: QuboProblem) -> np.ndarray:
+    """Energies of all 2^n basis states from ``energy_chunks``, indexed by state s
+    (bit i of s is (s >> i) & 1)."""
     n = q.n_vars
     if n > 26:
         raise ValueError(f"2^{n} basis states exceed the enumeration budget")
     out = np.empty(1 << n)
-    for start in range(0, out.size, CHUNK):
-        idx = np.arange(start, min(start + CHUNK, out.size), dtype=np.int64)
-        out[start : start + idx.size] = q.energies((idx[:, None] >> np.arange(n)) & 1)
+    for c, energy in enumerate(energy_chunks(q)):
+        out[c :: out.size // energy.size] = energy
     return out
 
 

@@ -11,7 +11,6 @@ pass and keeps the maximum-contact feasible conformation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -99,6 +98,11 @@ class SolveResult:
     census: Optional[dict] = None
 
 
+def _check_keep(keep: int, name: str = "keep") -> None:
+    if keep < 1:
+        raise ValueError(f"{name} must be >= 1, got {keep}")
+
+
 def coupling_classes(quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Colour the coupling graph ``quad != 0`` greedily in index order.
 
@@ -139,6 +143,7 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> SolveRes
     the lowest energy. The ``keep`` lowest-energy distinct states, ties by
     bitstring, form the returned population.
     """
+    _check_keep(keep)
     n = q.n_vars
     const, lin, quad = q.to_dense()
     perm, starts = coupling_classes(quad)
@@ -222,81 +227,37 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> SolveRes
     )
 
 
-def _subset_sums(start: float, terms: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` (2^len(terms) entries) with start + the terms at the set bits
-    of each index, by doubling: the upper half of every prefix is its lower
-    half plus the next term."""
-    out[0] = start
-    for j, term in enumerate(terms):
-        np.add(out[: 1 << j], term, out=out[1 << j : 2 << j])
-
-
 def exhaustive(q: QuboProblem, keep: int = TOP_K) -> SolveResult:
     """Exact scan of all 2^n assignments; retains the ``keep`` lowest states.
 
-    States are ranked by energy, then by state index (bit i of the index is
-    variable i), so the kept set does not depend on how the scan is chunked.
-    The scan builds every energy at O(1) cost by doubling over the bits, one
-    chunk of ``ising.CHUNK`` states (rounded down to a power of two) per
-    setting of the high bits. These fast values may differ from
-    ``QuboProblem.energies`` in the last bits, by at most a rounding bound, so
-    the scan keeps every state within twice that bound of the keep-th fast
-    value, then ranks those by their exact energies, which it returns.
+    States are ranked by their ``ising.energy_chunks`` energies, which equal
+    ``QuboProblem.energies`` bit for bit, then by state index (bit i of the
+    index is variable i), so the kept set does not depend on the chunking.
     """
     n = q.n_vars
     if n > EXHAUSTIVE_VARIABLE_BUDGET:
         raise ValueError(
             f"{n} variables exceed the exhaustive budget of {EXHAUSTIVE_VARIABLE_BUDGET}"
         )
-    upper = np.triu(q.quad)
-    # A fast value and q.energies sum the same m = 1 + n + n(n-1)/2 terms (a
-    # coefficient or 0.0) in different orders. Each lies within
-    # gamma_(m-1) * sum|coef| of the true sum (Higham, "Accuracy and Stability
-    # of Numerical Algorithms", sec. 4.2), so they differ by at most twice
-    # that. Using gamma_m instead adds 2u * sum|coef|, which covers the
-    # rounding of the bound and of the thresholds below.
-    m = 1 + n + n * (n - 1) // 2
-    u = np.finfo(float).eps / 2
-    scale = math.fsum([abs(q.const), *np.abs(q.lin), *np.abs(upper).ravel()])
-    bound = 2 * (m * u / (1 - m * u)) * scale
-
-    def exact_top(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        exact = q.energies((idx[:, None] >> np.arange(n)) & 1)
-        order = np.lexsort((idx, exact))[:keep]
-        return idx[order], exact[order]
-
-    low = min(n, ising.CHUNK.bit_length() - 1)
-    low_energy = np.empty(1 << low)
-    field = np.empty(1 << low)
-    low_energy[0] = q.const
-    for k in range(low):
-        _subset_sums(q.lin[k], upper[:k, k], field[: 1 << k])
-        np.add(low_energy[: 1 << k], field[: 1 << k], out=low_energy[1 << k : 2 << k])
-
-    # The candidates hold every state seen so far that can still be kept, with
-    # a value within bound of its exact energy: a kept state's exact energy is
-    # at most the keep-th candidate value + bound.
-    cand_idx = np.empty(0, dtype=np.int64)
-    cand_value = np.empty(0)
-    kth = np.inf
-    energy = np.empty(1 << low)
-    for high in range(1 << (n - low)):
-        on = low + np.flatnonzero((high >> np.arange(n - low)) & 1)
-        offset = q.lin[on].sum() + upper[np.ix_(on, on)].sum()
-        _subset_sums(offset, upper[:low, on].sum(axis=1), field)
-        np.add(low_energy, field, out=energy)
-        new = np.flatnonzero(energy <= kth + 2 * bound)
-        cand_idx = np.concatenate([cand_idx, (high << low) + new])
-        cand_value = np.concatenate([cand_value, energy[new]])
+    _check_keep(keep)
+    # The candidates are the best keep states seen so far by (energy, index),
+    # and every later state whose energy is at most the keep-th of them.
+    cand_idx, cand_energy, kth = np.empty(0, dtype=np.int64), np.empty(0), np.inf
+    for c, energy in enumerate(ising.energy_chunks(q)):
+        new = np.flatnonzero(energy <= kth)
+        cand_idx = np.concatenate([cand_idx, c + new * ((1 << n) // energy.size)])
+        cand_energy = np.concatenate([cand_energy, energy[new]])
         if cand_idx.size > keep:
-            kth = np.partition(cand_value, keep - 1)[keep - 1]
-            near = cand_value <= kth + 2 * bound
-            cand_idx, cand_value = cand_idx[near], cand_value[near]
-        if cand_idx.size > keep + energy.size:
-            # Many near-ties: rank exactly now, to bound memory.
-            cand_idx, cand_value = exact_top(cand_idx)
+            kth = np.partition(cand_energy, keep - 1)[keep - 1]
+            below, tied = cand_energy < kth, cand_energy == kth
+            # the ties at kth that fit, lowest indices first
+            spare = keep - np.count_nonzero(below)
+            cut = np.partition(cand_idx[tied], spare - 1)[spare - 1]
+            kept = below | (tied & (cand_idx <= cut))
+            cand_idx, cand_energy = cand_idx[kept], cand_energy[kept]
 
-    top_idx, top_energy = exact_top(cand_idx)
+    order = np.lexsort((cand_idx, cand_energy))
+    top_idx, top_energy = cand_idx[order], cand_energy[order]
     bits = (top_idx[:, None] >> np.arange(n)) & 1
     samples = SampleSet(bits, np.ones(top_idx.size, dtype=np.int64), top_energy)
     return SolveResult(
@@ -423,6 +384,7 @@ def vqe_statevector(
     converges early; with no parameters it evaluates once. Returns the population
     at the best parameters: the sampled states, or the ``keep`` most probable.
     """
+    _check_keep(keep)
     n = spec.n_qubits
     if np.shape(energies) != (1 << n,):
         raise ValueError(f"{np.size(energies)} basis energies for {n} qubits")
@@ -556,6 +518,7 @@ def postselect(
     ``census`` counts the feasible candidates and, per constraint type, the
     candidates with at least one violation of it.
     """
+    _check_keep(top_k, "top_k")
     ranked = np.lexsort((*samples.bits.T[::-1], samples.energies))[:top_k]
     if ranked.size == 0:
         raise ValueError("empty sample set")

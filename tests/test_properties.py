@@ -77,6 +77,12 @@ TIE_PRONE = st.sampled_from([0.1, 0.2, 0.3, 0.7, -0.1, -0.3, -0.7, 1 / 3])
 ZERO_VARIABLE_PROBLEMS = REAL.map(
     lambda c: problem_from_polynomial(BinaryPolynomial({frozenset(): c}), VariableLayout(2))
 )
+# 12 variables and only a constant: every state ties, so ranks go by index alone.
+CONSTANT_PROBLEMS = REAL.map(
+    lambda c: problem_from_polynomial(
+        BinaryPolynomial({frozenset(): c}), VariableLayout(3, first_turn_fixed=False)
+    )
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,13 +91,14 @@ ZERO_VARIABLE_PROBLEMS = REAL.map(
         quadratic_problems(max_used=12, coeff=REAL),
         quadratic_problems(max_used=12, coeff=TIE_PRONE),
         ZERO_VARIABLE_PROBLEMS,
+        CONSTANT_PROBLEMS,
     ),
-    chunk=st.sampled_from([1, 7, 64, 1 << 16]),
+    chunk=st.sampled_from([1, 2, 7, 64, 1 << 16]),
     data=st.data(),
 )
 def test_exhaustive_keeps_the_exact_ranking(q, chunk, data):
-    # The scan ranks by fast sums and rescores near the boundary; what it
-    # keeps must equal a full ranking of q.energies, bit for bit.
+    # The scan's energies are q.energies' own sums; what it keeps, ties cut
+    # by index, must equal a full ranking of q.energies, bit for bit.
     n = q.n_vars
     keep = data.draw(st.integers(1, (1 << n) + 3))
     states = np.arange(1 << n)
@@ -105,6 +112,85 @@ def test_exhaustive_keeps_the_exact_ranking(q, chunk, data):
     assert result.samples.energies.tobytes() == energies[expected].tobytes()
     assert result.best_value == energies[expected[0]]
     assert result.provenance == {"solver": "exhaustive", "states_scanned": 1 << n, "kept": expected.size}
+
+
+def qubo_of(const, lin, upper):
+    """A ``QuboProblem`` of the given terms over ``len(lin)`` variables with no
+    layout; ``upper`` holds the pair coefficients above the diagonal."""
+    upper = np.triu(upper, 1)
+    return encoder.QuboProblem(
+        float(const), lin, upper + upper.T,
+        SimpleNamespace(n_vars=len(lin)),  # solvers read only the variable count
+        encoder.PenaltyConfig(1.0, 1.0, 1.0, 1.0, 1.0),
+        encoder.AxisDraw(overlap={}, crossing={}),
+    )
+
+
+@st.composite
+def summed_problems(draw, coeff):
+    """A problem of 0-18, 48 or 156 variables whose coefficients come from a
+    small pool drawn from ``coeff``, and some rows, all-ones among them."""
+    n = draw(st.one_of(st.integers(0, 18), st.sampled_from([48, 156])))
+    pool = draw(st.lists(coeff, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    used = rng.random((n, n)) < density
+    q = qubo_of(
+        draw(coeff), rng.choice(pool, n), np.where(used, rng.choice(pool, (n, n)), 0.0)
+    )
+    rows = rng.integers(0, 2, (draw(st.integers(0, 6)), n))
+    return q, np.vstack([np.ones(n, dtype=int), rows])
+
+
+def left_to_right_energy(q, row):
+    """``const + Σ_k x_k·f_k`` with ``f_k = lin_k + Σ_{j<k} quad[j, k]·x_j``,
+    every sum taken left to right in Python floats."""
+    total = float(q.const)
+    for k in range(q.n_vars):
+        field = float(q.lin[k])
+        for j in range(k):
+            field += row[j] * float(q.quad[j, k])
+        total += field * row[k]
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.one_of(summed_problems(REAL), summed_problems(TIE_PRONE)))
+def test_energies_sum_in_one_order(case):
+    q, bits = case
+    want = np.array([left_to_right_energy(q, row) for row in bits.tolist()], dtype=float)
+    assert q.energies(bits).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 5, 12])
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64, 1 << 16])
+def test_energy_chunks_hold_the_energies_of_every_state_once(n, chunk):
+    q = qubo_of(0.0, 2.0 ** np.arange(n), np.zeros((n, n)))  # energy = state index
+    with mock.patch.object(ising, "CHUNK", chunk):
+        chunks = list(ising.energy_chunks(q))
+    size = min(1 << (chunk.bit_length() - 1), 1 << n)
+    assert len(chunks) * size == 1 << n
+    for c, energy in enumerate(chunks):
+        assert energy.tolist() == list(range(c, 1 << n, len(chunks)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.one_of(
+        quadratic_problems(max_used=12, coeff=REAL),
+        quadratic_problems(max_used=12, coeff=TIE_PRONE),
+        ZERO_VARIABLE_PROBLEMS,
+    ),
+    chunk=st.sampled_from([1, 2, 7, 64, 1 << 16]),
+)
+# a constant of -0.0: the scan leaves state 0 at the constant, a row sum adds zeros to it
+@example(q=qubo_of(-0.0, np.array([0.0, -0.0, 1.0]), np.zeros((3, 3))), chunk=2)
+def test_basis_energies_are_row_energies(q, chunk):
+    n = q.n_vars
+    states = np.arange(1 << n)
+    with mock.patch.object(ising, "CHUNK", chunk):
+        energies = ising.basis_energies(q)
+    assert energies.tobytes() == q.energies((states[:, None] >> np.arange(n)) & 1).tobytes()
 
 
 def bit_rows(n, max_rows=12):
@@ -336,12 +422,7 @@ def anneal_cases(draw, exact=False):
         upper = rng.uniform(-scale, scale, size=(n, n))
     upper = np.triu(upper * (rng.random((n, n)) < draw(st.sampled_from([0.2, 1.0]))), 1)
     const = rng.integers(-2, 3) * scale if exact else rng.uniform(-scale, scale)
-    q = encoder.QuboProblem(
-        float(const), lin, upper + upper.T,
-        SimpleNamespace(n_vars=n),  # anneal reads only the variable count
-        encoder.PenaltyConfig(1.0, 1.0, 1.0, 1.0, 1.0),
-        encoder.AxisDraw(overlap={}, crossing={}),
-    )
+    q = qubo_of(const, lin, upper)
     hot, cold = LADDERS[draw(st.sampled_from(sorted(LADDERS)))]
     sched = solvers.AnnealSchedule(
         t_initial=hot * scale,

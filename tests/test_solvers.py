@@ -3,17 +3,20 @@ import pytest
 
 import hpfold as hp
 from conftest import problem_from_polynomial
+from hpfold.ansatz import AnsatzSpec
 from hpfold.encoder import VariableLayout
-from hpfold.ising import SampleSet
+from hpfold.ising import SampleSet, basis_energies
 from hpfold.model import encode_turns, parse_sequence
 from hpfold.polynomial import BinaryPolynomial
 from hpfold.solvers import (
     AnnealSchedule,
+    VqeSettings,
     anneal,
     coupling_classes,
     default_schedule,
     exhaustive,
     postselect,
+    vqe_statevector,
 )
 
 
@@ -229,3 +232,22 @@ class TestPostselect:
         sel = postselect(exhaustive(q).samples, q, seq)
         oracle, _ = hp.enumerate_optimal(seq)
         assert sel.feasible and sel.contacts == oracle == 1
+
+
+@pytest.mark.parametrize("keep", [0, -1])
+@pytest.mark.parametrize("solver", ["exhaustive", "anneal", "vqe", "postselect"])
+def test_population_size_below_one_is_refused(solver, keep):
+    seq, q = folding_problem("HPPH", seed=3)
+    sched = AnnealSchedule(t_initial=10.0, sweeps=5, restarts=2)
+    samples = exhaustive(q, keep=64).samples
+    calls = {
+        "exhaustive": lambda: exhaustive(q, keep=keep),
+        "anneal": lambda: anneal(q, sched, keep=keep),
+        "vqe": lambda: vqe_statevector(
+            basis_energies(q), AnsatzSpec(q.n_vars), VqeSettings(max_evals=60), keep=keep
+        ),
+        "postselect": lambda: postselect(samples, q, seq, top_k=keep),
+    }
+    name = "top_k" if solver == "postselect" else "keep"
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got {keep}"):
+        calls[solver]()
