@@ -11,6 +11,7 @@ pass and keeps the maximum-contact feasible conformation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -364,6 +365,30 @@ def _nelder_mead(
         return
 
 
+def _sampled_cvar(
+    rng: np.random.Generator, sorted_energies: np.ndarray, probs: np.ndarray,
+    alpha: float, shots: int,
+) -> float:
+    """CVaR of ``shots`` draws from ``probs``, drawing only the shots in the tail.
+
+    ``sorted_energies`` ascend, and ``probs`` (non-negative, not necessarily
+    normalized) follows the same order. Only the lowest m = ceil(alpha * shots)
+    shots enter the CVaR, so only they are drawn: the m smallest of ``shots``
+    iid uniforms come in ascending order from Renyi's representation (partial
+    sums of exponentials over their total plus a gamma for the other shots),
+    and the inverse of the energy-ordered CDF maps each to its state. The value
+    has the law of ``cvar`` over a ``multinomial(shots, probs)`` sample.
+    """
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    m = math.ceil(alpha * shots)
+    s = np.cumsum(rng.standard_exponential(m))
+    u = s / (s[-1] + rng.standard_gamma(shots + 1 - m))
+    # u < 1 exactly, but it may round to 1; the last state takes it then
+    tail = sorted_energies[np.searchsorted(cdf[:-1], u, side="right")]
+    return cvar(tail, alpha * shots / m)
+
+
 def vqe_statevector(
     energies: np.ndarray,
     spec: AnsatzSpec,
@@ -376,13 +401,15 @@ def vqe_statevector(
 
     ``energies`` holds the energy of every basis state, indexed by state
     (``ising.basis_energies``). With ``shots = 0`` the objective is the CVaR
-    of the exact basis distribution; otherwise each evaluation draws a fresh
-    multinomial sample (the default is exact; ``RunConfig.shots`` samples). A
-    Nelder-Mead simplex search (``_nelder_mead``, which calls the objective at
-    scipy's points) runs under a total evaluation budget (see
-    ``check_vqe_settings``) and restarts from a perturbed best point whenever it
-    converges early; with no parameters it evaluates once. Returns the population
-    at the best parameters: the sampled states, or the ``keep`` most probable.
+    of the exact basis distribution; otherwise it is the CVaR of ``shots``
+    fresh measurements, of which each evaluation draws only the lowest
+    ceil(alpha * shots) (``_sampled_cvar``). The default is exact;
+    ``RunConfig.shots`` samples. A Nelder-Mead simplex search
+    (``_nelder_mead``, which calls the objective at scipy's points) runs under
+    a total evaluation budget (see ``check_vqe_settings``) and restarts from a
+    perturbed best point whenever it converges early; with no parameters it
+    evaluates once. Returns the population at the best parameters: the states
+    of a full ``shots`` multinomial sample, or the ``keep`` most probable.
     """
     _check_keep(keep)
     n = spec.n_qubits
@@ -403,13 +430,12 @@ def vqe_statevector(
     sorted_energies = energies[by_energy]
 
     def objective(params: np.ndarray) -> float:
-        probs = probabilities(simulate(spec, params))
+        weights = probabilities(simulate(spec, params))[by_energy]
         if shots > 0:
-            weights = rng.multinomial(shots, probs / probs.sum())[by_energy]
+            value = _sampled_cvar(rng, sorted_energies, weights, alpha, shots)
         else:
-            weights = probs[by_energy]
-        nz = weights.nonzero()[0]
-        value = cvar(sorted_energies[nz], alpha, weights[nz])
+            nz = weights.nonzero()[0]
+            value = cvar(sorted_energies[nz], alpha, weights[nz])
         state["evals"] += 1
         if value < state["best_value"]:
             state["best_value"] = value

@@ -324,7 +324,7 @@ class TestPipeline:
         assert capsys.readouterr().out == ""
 
     def test_anneal_run_does_not_load_scipy_optimize(self):
-        # scipy.optimize costs about 0.3 s and 45 MB to import; only vqe needs it.
+        # scipy.optimize costs about 0.3 s and 45 MB to import; no run needs it.
         # multiprocessing (with socket and logging) is needed only by workers > 1.
         snippet = (
             "import sys; sys.path.insert(0, sys.argv[1]); import hpfold as hp; "

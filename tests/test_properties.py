@@ -1018,6 +1018,205 @@ def test_vqe_is_unchanged_by_the_in_package_simplex(spec, shots, extra_evals, re
     assert got.provenance == want.provenance
 
 
+# ---- the CVaR tail sampler of sampled VQE ----
+
+
+def two_state_tail_law(shots, alpha, p0):
+    """The exact law of ``_sampled_cvar`` on energies (0, 1) with probabilities (p0, 1 - p0).
+
+    The tail holds j = min(K, m) zeros and m - j ones, K ~ Binomial(shots, p0) and
+    m = ceil(alpha * shots); returns {CVaR value: probability} over j = 0..m.
+    """
+    m = math.ceil(alpha * shots)
+    pmf = [math.comb(shots, k) * p0**k * (1 - p0) ** (shots - k) for k in range(shots + 1)]
+    law = {}
+    for j in range(m + 1):
+        value = ising.cvar(np.r_[np.zeros(j), np.ones(m - j)], alpha * shots / m)
+        law[value] = law.get(value, 0.0) + (sum(pmf[m:]) if j == m else pmf[j])
+    assert len(law) == m + 1  # every j has its own value
+    return law
+
+
+def chi_square_bound(dof, z=3.09):
+    """The Wilson-Hilferty approximation of the chi-square quantile at normal score z (0.999)."""
+    return dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+
+
+@pytest.mark.parametrize(
+    "shots, alpha, p0",
+    [
+        (40, 0.25, 0.2),  # alpha * shots = 10, integral
+        (30, 0.13, 0.1),  # alpha * shots = 3.9, fractional
+        (5, 0.1, 0.3),  # alpha * shots = 0.5 < 1: only the lowest shot counts
+        (7, 1.0, 0.4),  # alpha = 1: the mean of all shots
+    ],
+)
+@pytest.mark.parametrize("scale", [1.0, 0.5, 3.0])  # probabilities need not sum to 1
+def test_tail_cvar_has_the_two_state_law(shots, alpha, p0, scale):
+    law = two_state_tail_law(shots, alpha, p0)
+    rng = np.random.default_rng([19, shots, int(10 * scale)])
+    probs = scale * np.array([p0, 1 - p0])
+    draws = 4000
+    values = [solvers._sampled_cvar(rng, np.array([0.0, 1.0]), probs, alpha, shots)
+              for _ in range(draws)]
+    seen, observed = np.unique(values, return_counts=True)
+    assert set(seen.tolist()) <= set(law)
+    observed = dict(zip(seen.tolist(), observed.tolist()))
+    # adjacent values are pooled until each cell expects at least 5 draws
+    cells, pooled = [], [0.0, 0]
+    for value in sorted(law):
+        pooled[0] += draws * law[value]
+        pooled[1] += observed.get(value, 0)
+        if pooled[0] >= 5:
+            cells.append(pooled)
+            pooled = [0.0, 0]
+    cells[-1][0] += pooled[0]
+    cells[-1][1] += pooled[1]
+    assert len(cells) >= 2
+    stat = sum((o - e) ** 2 / e for e, o in cells)
+    assert stat < chi_square_bound(len(cells) - 1), (stat, cells)
+
+
+def test_tail_cvar_edge_cases():
+    energies = np.array([-2.0, -1.0, 0.5, 3.0])
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        # alpha = 1 averages all shots: on energies (0, 1) it is a count over the shots
+        value = solvers._sampled_cvar(rng, np.array([0.0, 1.0]), np.array([0.3, 0.7]), 1.0, 9)
+        assert abs(9 * value - round(9 * value)) < 1e-12
+        # one shot is one state with positive probability
+        value = solvers._sampled_cvar(rng, energies, np.array([0.1, 0.0, 0.6, 0.3]), 0.05, 1)
+        assert min(abs(value - e) for e in (-2.0, 0.5, 3.0)) < 1e-12
+        # a point mass returns its state's energy
+        for alpha, shots in ((0.05, 4000), (0.37, 11), (1.0, 3)):
+            point = np.array([0.0, 0.0, 1.0, 0.0])
+            assert solvers._sampled_cvar(rng, energies, point, alpha, shots) == pytest.approx(0.5)
+        # a state without probability is never drawn, even when it has the lowest energy
+        value = solvers._sampled_cvar(rng, energies, np.array([0.0, 0.2, 0.0, 0.8]), 0.2, 50)
+        assert value >= -1.0
+
+
+def test_tail_cvar_at_the_cdf_steps():
+    # The inverse CDF takes the first state whose cumulative probability exceeds u:
+    # u = 0 (every exponential 0) must not reach a lowest state without probability,
+    # and u = 1/2 (one exponential of 1 over a gamma of 1) a state above the step at
+    # 1/2. A u that rounds to 1 (a gamma below the exponentials' last bit) takes the
+    # last state.
+    def stub(exponential, gamma=1.0):
+        return SimpleNamespace(
+            standard_exponential=lambda m: np.full(m, exponential), standard_gamma=lambda k: gamma
+        )
+
+    energies = np.array([-5.0, 1.0, 2.0, 4.0])
+    low_gap, mid_gap = np.array([0.0, 0.5, 0.0, 0.5]), np.array([0.5, 0.0, 0.0, 0.5])
+    assert solvers._sampled_cvar(stub(0.0), energies, low_gap, 0.5, 2) == 1.0
+    assert solvers._sampled_cvar(stub(1.0), energies, mid_gap, 0.5, 2) == 4.0
+    assert solvers._sampled_cvar(stub(1.0, gamma=1e-300), energies, low_gap, 0.5, 2) == 4.0
+
+
+def multinomial_cvar(rng, sorted_energies, probs, by_energy, alpha, shots):
+    """The sampled objective before the tail sampler: CVaR over a full multinomial sample."""
+    weights = rng.multinomial(shots, probs / probs.sum())[by_energy]
+    nz = weights.nonzero()[0]
+    return ising.cvar(sorted_energies[nz], alpha, weights[nz])
+
+
+def reference_vqe(energies, spec, settings_, alpha=0.05, shots=0, keep=solvers.TOP_K):
+    """``vqe_statevector`` as it was before the tail sampler, its objective drawing
+    every shot through ``multinomial_cvar``."""
+    n = spec.n_qubits
+    rng = np.random.default_rng(settings_.seed)
+    if settings_.initial_params is not None:
+        x0 = np.asarray(settings_.initial_params, dtype=float)
+    else:
+        x0 = solvers.random_initial_params(spec, rng)
+    trace = []
+    state = {"evals": 0, "best_value": np.inf, "best_params": x0.copy()}
+    by_energy = np.argsort(energies, kind="stable")
+    sorted_energies = energies[by_energy]
+
+    def objective(params):
+        probs = probabilities(simulate(spec, params))
+        if shots > 0:
+            value = multinomial_cvar(rng, sorted_energies, probs, by_energy, alpha, shots)
+        else:
+            weights = probs[by_energy]
+            nz = weights.nonzero()[0]
+            value = ising.cvar(sorted_energies[nz], alpha, weights[nz])
+        state["evals"] += 1
+        if value < state["best_value"]:
+            state["best_value"] = value
+            state["best_params"] = np.array(params)
+        trace.append((state["evals"], float(value), float(state["best_value"])))
+        return value
+
+    if spec.n_params == 0:
+        objective(x0)
+    start = x0
+    while spec.n_params and (budget := settings_.max_evals - state["evals"]) >= spec.n_params + 2:
+        solvers._nelder_mead(objective, start, budget, xatol=1e-4, fatol=1e-6)
+        start = state["best_params"] + solvers.RESTART_SCALE * solvers.random_initial_params(
+            spec, rng
+        )
+
+    final_probs = probabilities(simulate(spec, state["best_params"]))
+    if shots > 0:
+        counts = rng.multinomial(shots, final_probs / final_probs.sum())
+        kept = counts.nonzero()[0]
+        counts = counts[kept]
+    else:
+        kept = np.argsort(-final_probs, kind="stable")[:keep]
+        kept = kept[final_probs[kept] > 1e-12]
+        counts = np.ones(kept.size, dtype=int)
+    rows = (kept[:, None] >> np.arange(n)) & 1
+    first = ising.unique_rows(rows)[0]
+    return ising.SampleSet(rows[first], counts[first], energies[kept[first]]), trace, state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.builds(
+        AnsatzSpec,
+        n_qubits=st.integers(0, 6),
+        reps=st.sampled_from([1, 2]),
+        entangler=st.sampled_from(["linear", "circular"]),
+    ),
+    alpha=st.sampled_from([0.05, 0.3, 1.0]),
+    extra_evals=st.integers(0, 200),
+    keep=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_vqe_is_unchanged_by_the_tail_sampler(spec, alpha, extra_evals, keep, seed):
+    energies = np.random.default_rng(seed).integers(-4, 5, 1 << spec.n_qubits).astype(float)
+    settings_ = VqeSettings(max_evals=spec.n_params + 2 + extra_evals, seed=seed)
+    got = vqe_statevector(energies, spec, settings_, alpha=alpha, shots=0, keep=keep)
+    samples, trace, state = reference_vqe(energies, spec, settings_, alpha=alpha, keep=keep)
+    for name in ("bits", "counts", "energies"):
+        a, b = getattr(got.samples, name), getattr(samples, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert repr(got.trace) == repr(tuple(trace))
+    assert got.provenance["evaluations"] == state["evals"]
+    assert repr(got.provenance["objective_value"]) == repr(float(state["best_value"]))
+    assert got.provenance["final_params"] == [float(v) for v in state["best_params"]]
+
+
+@pytest.mark.parametrize("alpha, shots", [(0.05, 4000), (0.3, 256), (0.01, 1024)])
+def test_sampled_cvar_has_the_multinomial_law_at_12_qubits(alpha, shots):
+    from scipy.stats import ks_2samp  # a test dependency
+
+    spec = AnsatzSpec(12)
+    rng = np.random.default_rng([19, shots])
+    energies = rng.normal(size=1 << 12).round(1)  # rounded, so that states tie in energy
+    by_energy = np.argsort(energies, kind="stable")
+    sorted_energies = energies[by_energy]
+    probs = probabilities(simulate(spec, rng.uniform(-np.pi, np.pi, spec.n_params)))
+    tail = [solvers._sampled_cvar(rng, sorted_energies, probs[by_energy], alpha, shots)
+            for _ in range(600)]
+    full = [multinomial_cvar(rng, sorted_energies, probs, by_energy, alpha, shots)
+            for _ in range(600)]
+    assert ks_2samp(tail, full).pvalue > 1e-3
+
+
 @pytest.fixture(scope="module")
 def stored_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("stored")
