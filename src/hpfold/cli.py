@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reps", type=int,
                         help=_help("ansatz entangling repetitions, 1 or 2", "reps"))
     parser.add_argument("--top-k", type=int,
-                        help=_help("post-selection candidate count", "top_k"))
+                        help=_help("distinct states each solver keeps for post-selection", "top_k"))
     parser.add_argument("--max-evals", type=int,
                         help=_help("vqe objective evaluation budget", "max_evals"))
     parser.add_argument("--fix-first-turn", action=argparse.BooleanOptionalAction,
@@ -145,7 +145,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         resume_path = settings.pop("resume_params", None)  # a file, not the values
         if resume_path:
             with open(resume_path) as fh:
-                settings["resume_params"] = tuple(float(v) for v in json.load(fh))
+                params = json.load(fh)
+            # JSON numbers load as exactly int or float; bool and str are refused
+            if not isinstance(params, list) or any(type(v) not in (int, float) for v in params):
+                raise ValueError(f"{resume_path} must hold a JSON array of numbers")
+            settings["resume_params"] = tuple(map(float, params))
 
         overrides = {
             f"lambda{i}": conf[f"lambda{i}"] for i in range(5) if f"lambda{i}" in conf
@@ -160,12 +164,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:  # a config, sequence, weights or parameter file
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (TypeError, ValueError) as exc:  # also malformed JSON or a mistyped value
+    except (TypeError, ValueError, OverflowError) as exc:  # also malformed JSON, bad values
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        status, result, written = run_pipeline(cfg)
+        result, written = run_pipeline(cfg)
     except PipelineIOError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
@@ -181,7 +185,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     for name, path in sorted(written.items()):
         print(f"  wrote {path}")
-    return status
+    return 0
 
 
 if __name__ == "__main__":

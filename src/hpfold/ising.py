@@ -162,24 +162,28 @@ def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Distinct bitstrings, the rows of a (k, n) 0/1 matrix, with counts >= 1 and
-    energies; the set keeps read-only uint8, int64 and float64 copies."""
+    energies; the set keeps read-only uint8, int64 and float64 copies, best first:
+    by energy, ties by bitstring. So any order of the same rows gives equal arrays."""
 
     bits: np.ndarray
     counts: np.ndarray
     energies: np.ndarray
 
     def __post_init__(self):
-        bits = np.array(self.bits, dtype=np.uint8)
-        counts = np.array(self.counts, dtype=np.int64)
-        energies = np.array(self.energies, dtype=float)
+        bits = np.asarray(self.bits, dtype=np.uint8)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        energies = np.asarray(self.energies, dtype=float)
         if bits.ndim != 2 or np.any(bits > 1):
             raise ValueError(f"expected a (k, n) 0/1 bit matrix, got shape {bits.shape}")
         if counts.shape != (len(bits),) or energies.shape != counts.shape:
             raise ValueError(f"{len(bits)} rows, {counts.size} counts, {energies.size} energies")
         if np.any(counts < 1):
             raise ValueError("multiplicities must be >= 1")
-        if len(unique_rows(bits)[0]) != len(bits):
+        first, rank = unique_rows(bits)  # rank: each row's place in bitstring order
+        if len(first) != len(bits):
             raise ValueError("bitstrings must be distinct")
+        order = np.lexsort((rank, energies))  # indexing copies: the caller's arrays stay writable
+        bits, counts, energies = bits[order], counts[order], energies[order]
         bits.flags.writeable = counts.flags.writeable = energies.flags.writeable = False
         for name, value in (("bits", bits), ("counts", counts), ("energies", energies)):
             object.__setattr__(self, name, value)

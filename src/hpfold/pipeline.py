@@ -153,13 +153,12 @@ def _solve_one_draw(
             alpha=cfg.alpha, shots=cfg.shots, keep=cfg.top_k,
         )
 
-    selected = postselect(
-        solved.samples, q, seq, top_k=cfg.top_k, allow_steric=cfg.allow_steric
-    )
+    selected = postselect(solved.samples, q, seq, allow_steric=cfg.allow_steric)
+    provenance = {**selected.provenance, "top_k": cfg.top_k, **solved.provenance}
     return DrawOutcome(
         draw=draw_idx,
         seed=draw_seed,
-        selected=replace(selected, provenance={**selected.provenance, **solved.provenance}),
+        selected=replace(selected, provenance=provenance),
         solver_trace=solved.trace,
         qubo=q,
     )
@@ -290,11 +289,10 @@ def emit(result: PipelineResult, out_dir: Optional[str] = None) -> dict[str, str
     return written
 
 
-def run_pipeline(cfg: RunConfig) -> tuple[int, PipelineResult, dict[str, str]]:
-    """Solve, emit, and report an exit status (0 even when nothing feasible)."""
+def run_pipeline(cfg: RunConfig) -> tuple[PipelineResult, dict[str, str]]:
+    """Solve and emit; returns the result and {artifact name: path}."""
     result = solve_sequence(cfg)
-    written = emit(result)
-    return 0, result, written
+    return result, emit(result)
 
 
 def load_result(path: str) -> dict:

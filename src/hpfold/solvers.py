@@ -23,7 +23,7 @@ from .encoder import QuboProblem, VariableLayout, crossing_pairs, overlap_pairs
 from .ising import SampleSet, cvar, unique_rows
 
 EXHAUSTIVE_VARIABLE_BUDGET = 24
-# Distinct states each solver passes on by default, and post-selection's candidate count.
+# Distinct states each solver passes on to post-selection by default.
 TOP_K = 4000
 # Default CVaR tail fraction of the variational objective.
 CVAR_ALPHA = 0.05
@@ -99,9 +99,9 @@ class SolveResult:
     census: Optional[dict] = None
 
 
-def _check_keep(keep: int, name: str = "keep") -> None:
+def _check_keep(keep: int) -> None:
     if keep < 1:
-        raise ValueError(f"{name} must be >= 1, got {keep}")
+        raise ValueError(f"keep must be >= 1, got {keep}")
 
 
 def coupling_classes(quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +232,9 @@ def exhaustive(q: QuboProblem, keep: int = TOP_K) -> SolveResult:
     """Exact scan of all 2^n assignments; retains the ``keep`` lowest states.
 
     States are ranked by their ``ising.energy_chunks`` energies, which equal
-    ``QuboProblem.energies`` bit for bit, then by state index (bit i of the
-    index is variable i), so the kept set does not depend on the chunking.
+    ``QuboProblem.energies`` bit for bit; ties at the ``keep``-th energy go by
+    state index (bit i of the index is variable i), so the kept set does not
+    depend on the chunking. The population lists them best first.
     """
     n = q.n_vars
     if n > EXHAUSTIVE_VARIABLE_BUDGET:
@@ -257,16 +258,15 @@ def exhaustive(q: QuboProblem, keep: int = TOP_K) -> SolveResult:
             kept = below | (tied & (cand_idx <= cut))
             cand_idx, cand_energy = cand_idx[kept], cand_energy[kept]
 
-    order = np.lexsort((cand_idx, cand_energy))
-    top_idx, top_energy = cand_idx[order], cand_energy[order]
-    bits = (top_idx[:, None] >> np.arange(n)) & 1
-    samples = SampleSet(bits, np.ones(top_idx.size, dtype=np.int64), top_energy)
+    bits = (cand_idx[:, None] >> np.arange(n)) & 1
+    samples = SampleSet(bits, np.ones(cand_idx.size, dtype=np.int64), cand_energy)
+    best = float(samples.energies[0])
     return SolveResult(
-        best_bits=tuple(bits[0].tolist()),
-        best_value=float(top_energy[0]),
+        best_bits=tuple(samples.bits[0].tolist()),
+        best_value=best,
         samples=samples,
-        trace=((0, float(top_energy[0]), float(top_energy[0])),),
-        provenance={"solver": "exhaustive", "states_scanned": 1 << n, "kept": top_idx.size},
+        trace=((0, best, best),),
+        provenance={"solver": "exhaustive", "states_scanned": 1 << n, "kept": cand_idx.size},
     )
 
 
@@ -408,8 +408,8 @@ def vqe_statevector(
     (``_nelder_mead``, which calls the objective at scipy's points) runs under
     a total evaluation budget (see ``check_vqe_settings``) and restarts from a
     perturbed best point whenever it converges early; with no parameters it
-    evaluates once. Returns the population at the best parameters: the states
-    of a full ``shots`` multinomial sample, or the ``keep`` most probable.
+    evaluates once. Returns the population at the best parameters: the ``keep``
+    best states of a ``shots`` multinomial sample, or the ``keep`` most probable.
     """
     _check_keep(keep)
     n = spec.n_qubits
@@ -459,15 +459,12 @@ def vqe_statevector(
         kept = np.argsort(-final_probs, kind="stable")[:keep]
         kept = kept[final_probs[kept] > 1e-12]
         counts = np.ones(kept.size, dtype=int)
-    rows = (kept[:, None] >> np.arange(n)) & 1
-    first = unique_rows(rows)[0]
-    bits = rows[first]
-    samples = SampleSet(bits, counts[first], energies[kept[first]])
-    # rows are in bitstring order, so the first lowest energy breaks ties by bits
-    best = int(np.argmin(samples.energies))
+    samples = SampleSet((kept[:, None] >> np.arange(n)) & 1, counts, energies[kept])
+    if len(counts) > keep:  # only a sample holds more states than keep
+        samples = SampleSet(samples.bits[:keep], samples.counts[:keep], samples.energies[:keep])
     return SolveResult(
-        best_bits=tuple(bits[best].tolist()),
-        best_value=float(samples.energies[best]),
+        best_bits=tuple(samples.bits[0].tolist()),
+        best_value=float(samples.energies[0]),
         samples=samples,
         trace=tuple(trace),
         provenance={
@@ -530,32 +527,28 @@ def postselect(
     samples: SampleSet,
     q: QuboProblem,
     seq: model.HpSequence,
-    top_k: int = TOP_K,
     allow_steric: bool = True,
 ) -> SolveResult:
     """Pick the best geometrically valid conformation from a sample population.
 
-    The ``top_k`` first distinct bitstrings by (energy, bitstring) are the
-    candidates, checked in one array pass (``candidate_counts``). The first
-    of them with the most contacts among the feasible ones wins, or, if none
+    Every row is a candidate; all are checked in one array pass
+    (``candidate_counts``). Rows come best first, by (energy, bitstring), so
+    the first with the most contacts among the feasible ones wins, or, if none
     is feasible, the first with the fewest violations (``feasible=False``):
     the choice a scalar loop over the ``model`` oracle makes, independent of
     sample order. Only the winner goes through that oracle, for its report.
     ``census`` counts the feasible candidates and, per constraint type, the
     candidates with at least one violation of it.
     """
-    _check_keep(top_k, "top_k")
-    ranked = np.lexsort((*samples.bits.T[::-1], samples.energies))[:top_k]
-    if ranked.size == 0:
+    if len(samples.bits) == 0:
         raise ValueError("empty sample set")
-    counts = candidate_counts(samples.bits[ranked], q.layout, seq, allow_steric)
+    counts = candidate_counts(samples.bits, q.layout, seq, allow_steric)
     violations = counts[:, :-1].sum(axis=1)
     feasible = np.flatnonzero(violations == 0)
     # argmax and argmin return the first extreme, i.e. ties go by (energy, bits)
     pick = feasible[np.argmax(counts[feasible, -1])] if feasible.size else np.argmin(violations)
 
-    row = ranked[pick]
-    bits = tuple(samples.bits[row].tolist())
+    bits = tuple(samples.bits[pick].tolist())
     turns = model.decode_bitstring(bits, q.layout)
     report = model.validate(
         turns,
@@ -566,13 +559,12 @@ def postselect(
     conf = model.turns_to_coordinates(turns)
     return SolveResult(
         best_bits=bits,
-        best_value=float(samples.energies[row]),
+        best_value=float(samples.energies[pick]),
         samples=samples,
         trace=(),
         provenance={
             "solver": "postselect",
-            "top_k": top_k,
-            "candidates": len(ranked),
+            "candidates": len(counts),
             "allow_steric": allow_steric,
         },
         conformation=conf,

@@ -228,7 +228,7 @@ def test_criterion_7_small_instance_optimality():
             for attempt in range(10):
                 draw = hp.draw_axes(np.random.default_rng([7007, n, attempt]), layout)
                 q = hp.assemble(seq, layout, pen, draw, rng_seed=attempt)
-                sel = postselect(exhaustive(q, keep=4000).samples, q, seq, top_k=4000)
+                sel = postselect(exhaustive(q, keep=4000).samples, q, seq)
                 if sel.feasible:
                     assert sel.contacts <= oracle
                     if sel.contacts == oracle:

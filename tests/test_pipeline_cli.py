@@ -57,7 +57,6 @@ class TestRunConfig:
             (hp.exhaustive, "keep", "top_k"),
             (hp.anneal, "keep", "top_k"),
             (hp.vqe_statevector, "keep", "top_k"),
-            (hp.postselect, "top_k", "top_k"),
             (hp.default_schedule, "sweeps", "sweeps"),
             (hp.default_schedule, "restarts", "restarts"),
             (hp.AnnealSchedule, "sweeps", "sweeps"),
@@ -83,8 +82,7 @@ class TestPipeline:
             out_dir=str(tmp_path / "run"),
             export_qubo=True,
         )
-        status, result, written = hp.run_pipeline(cfg)
-        assert status == 0
+        result, written = hp.run_pipeline(cfg)
         sel = result.best.selected
         assert sel.feasible and sel.contacts == 1
         assert result.max_contacts == 1
@@ -100,7 +98,7 @@ class TestPipeline:
         cfg = RunConfig(
             sequence="HPPH", solver="exhaustive", draws=1, seed=1, out_dir=str(tmp_path)
         )
-        _, result, written = hp.run_pipeline(cfg)
+        result, written = hp.run_pipeline(cfg)
         lines = Path(written["conformation.xyz"]).read_text().strip().split("\n")
         assert len(lines) == 4
 
@@ -108,7 +106,7 @@ class TestPipeline:
         cfg = RunConfig(
             sequence="HPPH", solver="exhaustive", draws=2, seed=9, out_dir=str(tmp_path)
         )
-        _, result, written = hp.run_pipeline(cfg)
+        result, written = hp.run_pipeline(cfg)
         doc = load_result(written["result.json"])
         assert doc["contacts"] <= doc["max_contacts"]
         assert doc["feasible"] is True
@@ -117,7 +115,7 @@ class TestPipeline:
         cfg = RunConfig(
             sequence="HPPH", solver="exhaustive", draws=1, seed=2, out_dir=str(tmp_path)
         )
-        _, _, written = hp.run_pipeline(cfg)
+        _, written = hp.run_pipeline(cfg)
         doc = json.loads(Path(written["result.json"]).read_text())
         doc["contacts"] = 99
         Path(written["result.json"]).write_text(json.dumps(doc))
@@ -128,7 +126,7 @@ class TestPipeline:
         cfg = RunConfig(
             sequence="HPH", solver="exhaustive", draws=1, seed=2, out_dir=str(tmp_path)
         )
-        _, _, written = hp.run_pipeline(cfg)
+        _, written = hp.run_pipeline(cfg)
         doc = json.loads(Path(written["result.json"]).read_text())
         doc["coords"][2] = [9, 9, 9]
         Path(written["result.json"]).write_text(json.dumps(doc))
@@ -140,7 +138,7 @@ class TestPipeline:
             sequence="HPPH", solver="exhaustive", draws=1, seed=3,
             allow_steric=False, out_dir=str(tmp_path),
         )
-        _, result, written = hp.run_pipeline(cfg)
+        result, written = hp.run_pipeline(cfg)
         doc = json.loads(Path(written["result.json"]).read_text())
         assert doc["provenance"]["allow_steric"] is False
         turns = ((1, 0, 0), (0, 1, 0), (-1, -1, 1))  # the last turn is body-diagonal
@@ -171,7 +169,7 @@ class TestPipeline:
                 out_dir=str(where),
                 export_qubo=True,
             )
-            return hp.run_pipeline(cfg)[2]
+            return hp.run_pipeline(cfg)[1]
 
         h1 = file_hashes(run(tmp_path / "a"))
         h2 = file_hashes(run(tmp_path / "b"))
@@ -187,8 +185,7 @@ class TestPipeline:
             seed=3,
             out_dir=str(tmp_path),
         )
-        status, result, _ = hp.run_pipeline(cfg)
-        assert status == 0
+        result, _ = hp.run_pipeline(cfg)
         sel = result.best.selected
         assert sel.feasible and sel.contacts == 1
 
@@ -202,8 +199,7 @@ class TestPipeline:
             seed=4,
             out_dir=str(tmp_path),
         )
-        status, result, written = hp.run_pipeline(cfg)
-        assert status == 0
+        result, written = hp.run_pipeline(cfg)
         assert result.best.selected.feasible
         assert "params.json" in written
         params = json.loads(Path(written["params.json"]).read_text())
@@ -219,7 +215,7 @@ class TestPipeline:
                 out_dir=str(tmp_path / str(seed)),
                 formats=("json",),
             )
-            _, result, _ = hp.run_pipeline(cfg)
+            result, _ = hp.run_pipeline(cfg)
             doc = result_document(result)
             assert doc["contacts"] <= doc["max_contacts"]
 
@@ -233,7 +229,7 @@ class TestPipeline:
             out_dir=str(tmp_path),
             formats=("json",),
         )
-        _, result, _ = hp.run_pipeline(cfg)
+        result, _ = hp.run_pipeline(cfg)
         assert result.sequence.weight(1, 3) == 2.5
 
     def test_worker_pool_matches_serial(self, tmp_path):
@@ -247,10 +243,10 @@ class TestPipeline:
             base = dict(
                 sequence="HPH", solver=solver, draws=3, seed=11, formats=("json",), **extra
             )
-            _, serial, _ = hp.run_pipeline(
+            serial, _ = hp.run_pipeline(
                 RunConfig(out_dir=str(tmp_path / solver / "s"), workers=1, **base)
             )
-            _, parallel, _ = hp.run_pipeline(
+            parallel, _ = hp.run_pipeline(
                 RunConfig(out_dir=str(tmp_path / solver / "p"), workers=2, **base)
             )
             assert result_document(serial) == result_document(parallel), solver
@@ -652,6 +648,41 @@ class TestCli:
         assert main(argv) == 2
         assert "resume parameters must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("123456789012345678", "must hold a JSON array of numbers"),  # 18 characters
+            ({str(i): 0.0 for i in range(18)}, "must hold a JSON array of numbers"),  # 18 keys
+            (["0.5"] * 18, "must hold a JSON array of numbers"),
+            ([True] * 18, "must hold a JSON array of numbers"),
+            ([10**400] + [0] * 17, "too large"),
+        ],
+        ids=["string", "object", "strings", "booleans", "huge-int"],
+    )
+    def test_resume_params_must_be_an_array_of_numbers(
+        self, doc, message, tmp_path, monkeypatch, capsys
+    ):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(hp.pipeline, "draw_axes", no_draws)
+        argv = ["--seq", "HPH", "--solver", "vqe", "--resume-params", str(params),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_resume_params_take_ints_and_floats(self, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps([0, 1, -2, 0.5] + [0.25] * 14))  # 18 for HPH
+        argv = ["--seq", "HPH", "--solver", "vqe", "--draws", "1", "--max-evals", "20",
+                "--resume-params", str(params), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
 
     @pytest.mark.filterwarnings("ignore:sequence has no non-bonded H pairs")
     @pytest.mark.parametrize("solver", ["anneal", "exhaustive", "vqe"])

@@ -63,7 +63,8 @@ def bits_of(state, n):
 def test_exhaustive_matches_brute_force(q, keep, chunk):
     n = q.n_vars
     energies = [q.polynomial.evaluate(bits_of(s, n)) for s in range(1 << n)]
-    expected = sorted(range(1 << n), key=lambda s: (energies[s], s))[:keep]
+    kept = sorted(range(1 << n), key=lambda s: (energies[s], s))[:keep]  # ties by index
+    expected = sorted(kept, key=lambda s: (energies[s], bits_of(s, n)))  # listed best first
     with mock.patch.object(ising, "CHUNK", chunk):
         result = exhaustive(q, keep=keep)
     assert [e[0] for e in result.samples.entries] == [bits_of(s, n) for s in expected]
@@ -98,12 +99,14 @@ CONSTANT_PROBLEMS = REAL.map(
 )
 def test_exhaustive_keeps_the_exact_ranking(q, chunk, data):
     # The scan's energies are q.energies' own sums; what it keeps, ties cut
-    # by index, must equal a full ranking of q.energies, bit for bit.
+    # by index, must equal a full ranking of q.energies, bit for bit, listed
+    # by (energy, bits).
     n = q.n_vars
     keep = data.draw(st.integers(1, (1 << n) + 3))
     states = np.arange(1 << n)
     energies = q.energies((states[:, None] >> np.arange(n)) & 1)
-    expected = np.lexsort((states, energies))[:keep]
+    kept = np.lexsort((states, energies))[:keep]
+    expected = np.array(sorted(kept, key=lambda s: (energies[s], bits_of(s, n))), dtype=int)
     with mock.patch.object(ising, "CHUNK", chunk):
         result = exhaustive(q, keep=keep)
     want_bits = ((expected[:, None] >> np.arange(n)) & 1).astype(np.uint8)
@@ -297,8 +300,6 @@ def test_samples_json_matches_the_tuple_serializer(q, seed, shots):
         ising.basis_energies(q), spec, VqeSettings(max_evals=spec.n_params + 2, seed=seed),
         shots=shots,
     )
-    entries = tuple_entries(vqe.samples)
-    assert entries == sorted(entries)  # VQE rows come in bitstring order
     results = [
         anneal(q, default_schedule(q, sweeps=30, restarts=3, seed=seed)),
         exhaustive(q, keep=50),
@@ -335,6 +336,68 @@ def test_unique_rows_matches_numpy_row_unique(width, pool, rows, seed):
     assert np.array_equal(first, want_first)
     assert np.array_equal(inverse, want_inverse)
     assert np.array_equal(bits[first], want_rows)
+
+
+def by_energy_then_bits(entries):
+    """(bits, count, energy) tuples, best first: by energy, ties by bits."""
+    return sorted(entries, key=lambda e: (e[2], e[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.sampled_from([0, 1, 7, 8, 9, 20]),
+    rows=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_sets_are_best_first_in_any_row_order(width, rows, seed):
+    rng = np.random.default_rng(seed)
+    bits = np.unique(rng.integers(0, 2, size=(rows, width), dtype=np.uint8), axis=0)
+    k = len(bits)
+    # few distinct energies, signed zeros among them, so that many rows tie
+    energies = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5], size=k)
+    counts = rng.integers(1, 5, size=k)
+    perm = rng.permutation(k)
+    given_order = ising.SampleSet(bits, counts, energies)
+    permuted = ising.SampleSet(bits[perm], counts[perm], energies[perm])
+    for name in ("bits", "counts", "energies"):
+        a, b = getattr(given_order, name), getattr(permuted, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    want = by_energy_then_bits(zip(map(tuple, bits.tolist()), counts.tolist(), energies.tolist()))
+    assert tuple_entries(permuted) == want
+    # -0.0 == 0.0, so compare signs too: every row keeps its own energy
+    assert [math.copysign(1, e) for *_, e in permuted.entries] == [
+        math.copysign(1, e) for *_, e in want
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=quadratic_problems(coeff=st.integers(-2, 2)),
+    keep=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_population_is_best_first(q, keep, seed):
+    spec = AnsatzSpec(n_qubits=q.n_vars, reps=1)
+    energies = ising.basis_energies(q)
+    settings_ = VqeSettings(max_evals=spec.n_params + 2, seed=seed)
+    # 256 shots over up to 4096 states: a sample usually holds more than keep states
+    sampled = vqe_statevector(energies, spec, settings_, shots=256, keep=keep)
+    results = [
+        anneal(q, default_schedule(q, sweeps=30, restarts=3, seed=seed), keep=keep),
+        exhaustive(q, keep=keep),
+        vqe_statevector(energies, spec, settings_, keep=keep),
+        sampled,
+    ]
+    for result in results:
+        entries = tuple_entries(result.samples)
+        assert 1 <= len(entries) <= keep
+        assert entries == by_energy_then_bits(entries)
+        assert result.best_value == entries[0][2]
+    for result in results[1:]:  # the annealer's best state is the first one it recorded
+        assert result.best_bits == tuple_entries(result.samples)[0][0]
+    # a sampled population keeps the keep best states of the whole sample
+    whole = vqe_statevector(energies, spec, settings_, shots=256, keep=256)
+    assert tuple_entries(sampled.samples) == tuple_entries(whole.samples)[:keep]
 
 
 def reference_anneal(q, sched):
@@ -611,11 +674,10 @@ def test_postselect_matches_the_merged_ranking(folds, beads, data):
     samples = ising.SampleSet(
         bits[perm], rng.integers(1, 5, size=k), rng.integers(-2, 3, size=k) / 2.0
     )
-    top_k = data.draw(st.integers(1, 2 * k))
-    ranked = merged_ranking(tuple_entries(samples), top_k)
-    sel = postselect(samples, q, seq, top_k=top_k)
+    ranked = merged_ranking(tuple_entries(samples), k)
+    sel = postselect(samples, q, seq)
     bits, energy, feasible = reference_choice(ranked, q, seq)
-    assert sel.provenance["candidates"] == len(ranked) == min(top_k, k)
+    assert sel.provenance["candidates"] == len(ranked) == k
     assert (sel.best_bits, sel.best_value, sel.feasible) == (bits, energy, feasible)
 
 
@@ -661,9 +723,8 @@ def candidate_sets(draw):
     cands=candidate_sets(),
     allow_steric=st.booleans(),
     block=st.sampled_from([1, 7, 512]),
-    data=st.data(),
 )
-def test_batched_checks_match_the_scalar_oracle(cands, allow_steric, block, data):
+def test_batched_checks_match_the_scalar_oracle(cands, allow_steric, block):
     seq, layout, bits, rng = cands
     k = len(bits)
     with mock.patch.object(solvers, "COUNT_BLOCK", block):
@@ -673,9 +734,8 @@ def test_batched_checks_match_the_scalar_oracle(cands, allow_steric, block, data
 
     q = SimpleNamespace(layout=layout)  # postselect reads only the layout
     samples = ising.SampleSet(bits, np.ones(k, dtype=np.int64), rng.integers(-2, 3, size=k) / 2.0)
-    top_k = data.draw(st.integers(1, k + 2))
-    ranked = merged_ranking(tuple_entries(samples), top_k)
-    sel = postselect(samples, q, seq, top_k=top_k, allow_steric=allow_steric)
+    ranked = merged_ranking(tuple_entries(samples), k)
+    sel = postselect(samples, q, seq, allow_steric=allow_steric)
     assert (sel.best_bits, sel.best_value, sel.feasible) == reference_choice(
         ranked, q, seq, allow_steric
     )
@@ -1224,7 +1284,7 @@ def stored_result(tmp_path_factory):
         sequence="HPPHP", solver="exhaustive", draws=1, seed=4, out_dir=str(out),
         formats=("json",),
     )
-    _, _, written = hp.run_pipeline(cfg)
+    _, written = hp.run_pipeline(cfg)
     return json.loads(open(written["result.json"]).read()), out
 
 

@@ -207,14 +207,6 @@ class TestPostselect:
         assert s1.contacts == s2.contacts
         assert s1.best_value == s2.best_value == q.evaluate(s1.best_bits)
 
-    def test_top_k_cut(self):
-        seq, q = folding_problem("HPH", seed=15)
-        res = exhaustive(q, keep=64)
-        sel = postselect(res.samples, q, seq, top_k=1)
-        # only the single lowest-energy state considered
-        lowest = min(res.samples.entries, key=lambda e: (e[2], e[0]))
-        assert sel.best_bits == lowest[0]
-
     def test_pair_exclusion_states_rejected(self):
         seq, q = folding_problem("HPH", seed=16)
         bits = list(encode_turns(((1, 0, 0), (0, 1, 0)), q.layout))
@@ -235,19 +227,16 @@ class TestPostselect:
 
 
 @pytest.mark.parametrize("keep", [0, -1])
-@pytest.mark.parametrize("solver", ["exhaustive", "anneal", "vqe", "postselect"])
+@pytest.mark.parametrize("solver", ["exhaustive", "anneal", "vqe"])
 def test_population_size_below_one_is_refused(solver, keep):
-    seq, q = folding_problem("HPPH", seed=3)
+    _, q = folding_problem("HPPH", seed=3)
     sched = AnnealSchedule(t_initial=10.0, sweeps=5, restarts=2)
-    samples = exhaustive(q, keep=64).samples
     calls = {
         "exhaustive": lambda: exhaustive(q, keep=keep),
         "anneal": lambda: anneal(q, sched, keep=keep),
         "vqe": lambda: vqe_statevector(
             basis_energies(q), AnsatzSpec(q.n_vars), VqeSettings(max_evals=60), keep=keep
         ),
-        "postselect": lambda: postselect(samples, q, seq, top_k=keep),
     }
-    name = "top_k" if solver == "postselect" else "keep"
-    with pytest.raises(ValueError, match=f"{name} must be >= 1, got {keep}"):
+    with pytest.raises(ValueError, match=f"keep must be >= 1, got {keep}"):
         calls[solver]()
