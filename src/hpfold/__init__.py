@@ -28,26 +28,12 @@ from .encoder import (
     QuboProblem,
     VariableLayout,
     assemble,
-    build_continuity,
-    build_crossing,
-    build_objective,
-    build_overlap,
-    build_pair_exclusion,
     calibrate_penalties,
     draw_axes,
     qubo_from_json,
     qubo_to_json,
-    turn_square,
 )
-from .ising import (
-    IsingOperator,
-    SampleSet,
-    cvar,
-    ising_energy,
-    ising_from_json,
-    ising_to_json,
-    qubo_to_ising,
-)
+from .ising import SampleSet, cvar, qubo_to_ising
 from .ansatz import AnsatzSpec, probabilities, simulate
 from .solvers import (
     AnnealSchedule,

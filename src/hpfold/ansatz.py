@@ -52,12 +52,6 @@ class AnsatzSpec:
     def n_params(self) -> int:
         return self.n_qubits * (2 * self.reps + 1)
 
-    def entangler_pairs(self) -> list[tuple[int, int]]:
-        pairs = [(i, i + 1) for i in range(self.n_qubits - 1)]
-        if self.entangler == "circular" and self.n_qubits > 2:
-            pairs.append((self.n_qubits - 1, 0))
-        return pairs
-
 
 def _ry_layer(state: np.ndarray, theta: np.ndarray) -> None:
     """RY(``theta[q]``) on every qubit q in turn, in place, on contiguous halves.

@@ -14,13 +14,16 @@ objective combines five ingredients:
   keeps the continuity penalty quadratic.
 
 Each part is a weighted square of a linear form in the signed steps, which
-``assemble`` turns into dense arrays with a few matrix products; the
-``build_*`` polynomials are their specification and test oracle.
+``assemble`` turns into dense arrays with a few matrix products. The
+term-by-term ``build_*`` polynomials in ``tests/oracles.py`` specify each
+part, the continuity penalty also in the paper's exact degree-4/6 form, and
+``assemble`` is property-tested against their weighted sum.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional
@@ -160,7 +163,7 @@ def draw_axes(rng: np.random.Generator, layout: VariableLayout) -> AxisDraw:
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Non-negative weights for the five parts of the consolidated objective."""
+    """Finite, non-negative weights for the five parts of the consolidated objective."""
 
     lambda0: float  # H-H separation objective
     lambda1: float  # continuity penalty
@@ -170,8 +173,8 @@ class PenaltyConfig:
 
     def __post_init__(self):
         for name, value in self.to_dict().items():
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -227,151 +230,6 @@ def calibrate_penalties(
     return PenaltyConfig(**values)
 
 
-def _axis_step(layout: VariableLayout, turn: int, axis: str) -> BinaryPolynomial:
-    """The signed step of one turn along one axis, as a polynomial.
-
-    plus - minus for an encoded turn, a constant for the fixed first turn.
-    """
-    if layout.is_fixed(turn):
-        return BinaryPolynomial.constant(layout.fixed_turn[_AXIS_OFFSET[axis]])
-    plus = BinaryPolynomial.variable(layout.index(turn, axis, "plus"))
-    minus = BinaryPolynomial.variable(layout.index(turn, axis, "minus"))
-    return plus - minus
-
-
-def turn_square(layout: VariableLayout, turn: int, axis: str) -> BinaryPolynomial:
-    """Multilinear form of the squared step: plus + minus - 2*plus*minus.
-
-    Takes value 1 exactly when the step is nonzero, except that the excluded
-    both-halves-set state also evaluates to 0.
-    """
-    step = _axis_step(layout, turn, axis)
-    return step * step
-
-
-def _span_sum(layout: VariableLayout, first: int, last: int, axis: str) -> BinaryPolynomial:
-    """Sum of axis steps over turns first..last inclusive (the per-axis separation)."""
-    total = BinaryPolynomial()
-    for t in range(first, last + 1):
-        total = total + _axis_step(layout, t, axis)
-    return total
-
-
-def build_objective(seq: HpSequence, layout: VariableLayout) -> BinaryPolynomial:
-    """Weighted sum of squared per-axis separations over all non-bonded H pairs."""
-    if len(seq) != layout.n_beads:
-        raise ValueError("sequence/layout bead count mismatch")
-    obj = BinaryPolynomial()
-    for j, k in hydrophobic_pairs(seq):
-        w = seq.weight(j, k)
-        for axis in AXES:
-            span = _span_sum(layout, j, k - 1, axis)
-            obj = obj + w * (span * span)
-    return obj
-
-
-def build_continuity(
-    layout: VariableLayout,
-    steric_allowed: bool = False,
-    form: str = "quadratic",
-) -> BinaryPolynomial:
-    """Penalty that is high on invalid turns.
-
-    ``form="quadratic"`` gives the reduced degree-2 version used in the
-    assembled problem; it agrees with the exact degree-4 form on every
-    assignment that sets at most one half per plus/minus pair, and requires
-    ``steric_allowed=False`` (body-diagonal turns count as violations there).
-    ``form="exact"`` gives the literal product expansion: degree 4 when
-    steric turns are penalized, degree 6 when they are allowed (only the
-    all-zero turn fires).
-    """
-    if form not in ("quadratic", "exact"):
-        raise ValueError(f"unknown form {form!r}")
-    if form == "quadratic" and steric_allowed:
-        raise ValueError(
-            "the quadratic reduction penalizes steric turns; "
-            "use form='exact' to allow them"
-        )
-    total = BinaryPolynomial()
-    for t in range(1, layout.n_turns + 1):
-        if layout.is_fixed(t):
-            sq = [float(c * c) for c in layout.fixed_turn]
-            value = 1.0 - sq[0] - sq[1] - sq[2] + sq[0] * sq[1] + sq[1] * sq[2] + sq[2] * sq[0]
-            if steric_allowed and form == "exact":
-                value -= sq[0] * sq[1] * sq[2]
-            total = total + value
-            continue
-        xs = turn_square(layout, t, "x")
-        ys = turn_square(layout, t, "y")
-        zs = turn_square(layout, t, "z")
-        term = BinaryPolynomial.constant(1.0) - xs - ys - zs
-        if form == "exact":
-            term = term + xs * ys + ys * zs + zs * xs
-            if steric_allowed:
-                term = term - xs * ys * zs
-        else:
-            for u, v in (("x", "y"), ("y", "z"), ("z", "x")):
-                for hu in HALVES:
-                    for hv in HALVES:
-                        term = term + (
-                            BinaryPolynomial.variable(layout.index(t, u, hu))
-                            * BinaryPolynomial.variable(layout.index(t, v, hv))
-                        )
-        total = total + term
-    return total
-
-
-def build_overlap(layout: VariableLayout, draw: AxisDraw) -> BinaryPolynomial:
-    """Squared separation of every non-adjacent bead pair along its drawn axis.
-
-    Subtracted from the assembled objective, so separation is rewarded.
-    """
-    total = BinaryPolynomial()
-    for i, j in overlap_pairs(layout.n_beads):
-        try:
-            axis = draw.overlap[(i, j)]
-        except KeyError:
-            raise ValueError(f"axis draw missing overlap pair ({i},{j})") from None
-        span = _span_sum(layout, i, j - 1, axis)
-        total = total + span * span
-    return total
-
-
-def build_crossing(layout: VariableLayout, draw: AxisDraw) -> BinaryPolynomial:
-    """Squared midpoint separation of every non-adjacent bond pair along its drawn axis.
-
-    The midpoint separation of bonds r and k along an axis equals
-    step(k) + step(r) + 2 * (steps strictly between them); it vanishes on all
-    three axes exactly when the bonds cross. Subtracted from the assembled
-    objective.
-    """
-    total = BinaryPolynomial()
-    for r, k in crossing_pairs(layout.n_beads):
-        try:
-            axis = draw.crossing[(r, k)]
-        except KeyError:
-            raise ValueError(f"axis draw missing crossing pair ({r},{k})") from None
-        mid = (
-            _axis_step(layout, k, axis)
-            + _axis_step(layout, r, axis)
-            + 2.0 * _span_sum(layout, r + 1, k - 1, axis)
-        )
-        total = total + mid * mid
-    return total
-
-
-def build_pair_exclusion(layout: VariableLayout) -> BinaryPolynomial:
-    """One penalty unit per turn axis whose plus and minus halves are both set."""
-    total = BinaryPolynomial()
-    for t in layout.encoded_turns:
-        for axis in AXES:
-            total = total + (
-                BinaryPolynomial.variable(layout.index(t, axis, "plus"))
-                * BinaryPolynomial.variable(layout.index(t, axis, "minus"))
-            )
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class QuboProblem:
     """The problem ``const + lin·x + Σ_{i<j} quad[i, j]·x_i·x_j`` and how it was built.
@@ -409,7 +267,7 @@ class QuboProblem:
 
     @property
     def polynomial(self) -> BinaryPolynomial:
-        """The same terms as a polynomial, for the spin-form export and tests."""
+        """The same terms as a polynomial, for the term-by-term test oracles."""
         lin = {frozenset((int(i),)): self.lin[i] for i in np.flatnonzero(self.lin)}
         pairs = zip(*np.nonzero(np.triu(self.quad)))
         quad = {frozenset((int(i), int(j))): self.quad[i, j] for i, j in pairs}
@@ -452,7 +310,7 @@ def assemble(
 ) -> QuboProblem:
     """Combine all five parts with their weights into one quadratic problem.
 
-    Equals the weighted sum of the ``build_*`` polynomials up to rounding. The
+    Equals the weighted sum of the ``build_*`` oracle polynomials up to rounding. The
     squared step sums add up to a Gram matrix over ``[x, 1]``; a turn with U
     set halves adds continuity ``1 - 3U/2 + U²/2`` plus its plus·minus products.
     """
@@ -533,9 +391,19 @@ def qubo_to_json(q: QuboProblem, sequence: str | None = None) -> str:
 
 
 def qubo_from_json(text: str) -> QuboProblem:
-    """Reload a problem written by ``qubo_to_json``; malformed entries raise ValueError."""
+    """Reload a problem written by ``qubo_to_json``; malformed entries raise ValueError.
+
+    The constant and every coefficient must be JSON numbers (not strings or
+    booleans), and the seed an integer.
+    """
     def reject(constant: str):
         raise ValueError(f"non-finite JSON constant {constant}")
+
+    def number(value, what: str):
+        # JSON numbers load as exactly int or float
+        if type(value) not in (int, float):
+            raise ValueError(f"{what} must be a JSON number, got {value!r}")
+        return value
 
     doc = json.loads(text, parse_constant=reject)
     meta = doc["metadata"]
@@ -558,10 +426,13 @@ def qubo_from_json(text: str) -> QuboProblem:
             ):
                 raise ValueError(f"malformed or repeated {name} entry {entry}")
             seen.add(key)
-            dense[idx[0], idx[-1]] = dense[idx[-1], idx[0]] = coeff
+            dense[idx[0], idx[-1]] = dense[idx[-1], idx[0]] = number(coeff, f"{name} coefficient")
     lin = np.diag(dense)
+    if type(meta["seed"]) is not int:
+        raise ValueError(f"seed must be a JSON integer, got {meta['seed']!r}")
     penalties = PenaltyConfig.from_dict(meta["penalties"])
     draw = AxisDraw.from_dict(meta["axis_draw"])
     return QuboProblem(
-        doc["constant"], lin, dense - np.diag(lin), layout, penalties, draw, meta["seed"]
+        number(doc["constant"], "constant"), lin, dense - np.diag(lin), layout, penalties,
+        draw, meta["seed"],
     )

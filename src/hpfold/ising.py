@@ -1,94 +1,31 @@
-"""Basis-state energies of a quadratic binary problem, samples and CVaR.
+"""Basis-state energies of a quadratic binary problem, its spin form, samples and CVaR.
 
 ``energy_chunks`` enumerates all 2^n energies, equal to ``QuboProblem.energies``
-bit for bit, for ``basis_energies`` and ``solvers.exhaustive``. The
-diagonal spin-operator form is kept for export and as a test
-oracle. Spin convention: bit 0 maps to z = +1 and bit 1 to z = -1, i.e.
-x = (1 - z) / 2. Every computational basis state is an eigenstate, so a
-bitstring's energy is a plain parity sum over the stored coefficients.
+bit for bit, for ``basis_energies`` and ``solvers.exhaustive``.
+``qubo_to_ising`` gives the Pauli-Z coefficients of the same problem under
+x = (1 - z) / 2, so bit 0 maps to z = +1 and bit 1 to z = -1. Every
+computational basis state is an eigenstate, so a bitstring's energy is a
+plain parity sum over the coefficients.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator
 
 import numpy as np
 
 from .encoder import QuboProblem
-from .polynomial import BinaryPolynomial
-
-SPIN_CONVENTION = "bit 0 -> z=+1, bit 1 -> z=-1"
 
 
-@dataclass(frozen=True)
-class IsingOperator:
-    """Constant + single-spin (Z) + spin-pair (ZZ) coefficients."""
-
-    n: int
-    constant: float
-    h: Mapping[int, float]
-    j: Mapping[tuple[int, int], float]
-
-    def __post_init__(self):
-        for i in self.h:
-            if not 0 <= i < self.n:
-                raise ValueError(f"Z index {i} out of range")
-        for a, b in self.j:
-            if not (0 <= a < b < self.n):
-                raise ValueError(f"ZZ index pair ({a},{b}) must satisfy 0 <= a < b < n")
-
-
-def qubo_to_ising(q: Union[QuboProblem, BinaryPolynomial], n_vars: int | None = None) -> IsingOperator:
-    """Rewrite a degree-2 binary polynomial over the spin variables.
-
-    Substituting x = (1 - z) / 2 term by term:
-    c*x_i contributes c/2 to the constant and -c/2 to h_i;
-    c*x_i*x_j contributes c/4 to the constant, -c/4 to both h's, +c/4 to J_ij.
-    """
-    if isinstance(q, QuboProblem):
-        poly = q.polynomial
-        n = q.n_vars
-    else:
-        poly = q
-        used = poly.variables()
-        n = n_vars if n_vars is not None else (max(used) + 1 if used else 0)
-    if poly.degree() > 2:
-        raise ValueError("polynomial degree exceeds 2")
-
-    constant = 0.0
-    h: dict[int, float] = {}
-    j: dict[tuple[int, int], float] = {}
-    for key, coeff in poly.terms.items():
-        if not key:
-            constant += coeff
-        elif len(key) == 1:
-            (i,) = key
-            constant += coeff / 2.0
-            h[i] = h.get(i, 0.0) - coeff / 2.0
-        else:
-            a, b = sorted(key)
-            constant += coeff / 4.0
-            h[a] = h.get(a, 0.0) - coeff / 4.0
-            h[b] = h.get(b, 0.0) - coeff / 4.0
-            j[(a, b)] = j.get((a, b), 0.0) + coeff / 4.0
-    h = {i: v for i, v in h.items() if v != 0.0}
-    j = {p: v for p, v in j.items() if v != 0.0}
-    return IsingOperator(n=n, constant=constant, h=h, j=j)
-
-
-def ising_energy(op: IsingOperator, bits: Sequence[int]) -> float:
-    """Energy of one bitstring under the spin convention above."""
-    if len(bits) != op.n:
-        raise ValueError(f"expected {op.n} bits, got {len(bits)}")
-    total = op.constant
-    z = [1 - 2 * b for b in bits]
-    for i, coeff in op.h.items():
-        total += coeff * z[i]
-    for (a, b), coeff in op.j.items():
-        total += coeff * z[a] * z[b]
-    return total
+def qubo_to_ising(q: QuboProblem) -> tuple[float, np.ndarray, np.ndarray]:
+    """The spin form ``(constant, h, J)`` of ``q``: a state's energy is
+    ``constant + z·h + zᵀJz`` with z = 1 - 2x and J strictly upper triangular.
+    ``quad`` holds each pair twice, hence the 8 in the constant."""
+    lin, quad = q.lin, q.quad
+    constant = q.const + float(lin.sum()) / 2.0 + float(quad.sum()) / 8.0
+    return constant, -lin / 2.0 - quad.sum(axis=1) / 4.0, np.triu(quad) / 4.0
 
 
 # States per enumeration chunk; bounds the working memory of a 2^n scan.
@@ -238,23 +175,3 @@ def cvar(energies, alpha: float, weights=None) -> float:
     take = np.minimum(w, np.maximum(mass - np.concatenate(([0.0], np.cumsum(w)[:-1])), 0.0))
     return float(np.dot(energies, take) / mass)
 
-
-def ising_to_json(op: IsingOperator) -> str:
-    doc = {
-        "variables": op.n,
-        "constant": op.constant,
-        "linear_z": sorted([i, c] for i, c in op.h.items()),
-        "quadratic_zz": sorted([a, b, c] for (a, b), c in op.j.items()),
-        "spin_convention": SPIN_CONVENTION,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def ising_from_json(text: str) -> IsingOperator:
-    doc = json.loads(text)
-    return IsingOperator(
-        n=doc["variables"],
-        constant=doc["constant"],
-        h={i: c for i, c in doc["linear_z"]},
-        j={(a, b): c for a, b, c in doc["quadratic_zz"]},
-    )

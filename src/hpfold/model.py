@@ -18,6 +18,7 @@ All types are immutable after construction and every function here is pure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -71,11 +72,14 @@ class HpSequence:
                     raise ValueError(
                         f"weight key ({j},{k}) is not a pair of distinct H beads"
                     )
+                w = float(w)
+                if not math.isfinite(w):
+                    raise ValueError(f"weight of pair ({j},{k}) must be finite, got {w}")
                 lo, hi = min(j, k), max(j, k)
                 key = (lo, hi)
-                if key in normalized and normalized[key] != float(w):
+                if key in normalized and normalized[key] != w:
                     raise ValueError(f"conflicting weights for pair {key}")
-                normalized[key] = float(w)
+                normalized[key] = w
             object.__setattr__(self, "weights", normalized)
 
     def __len__(self) -> int:

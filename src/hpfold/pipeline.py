@@ -308,9 +308,10 @@ def load_result(path: str) -> dict:
     if [list(c) for c in coords] != doc["coords"]:
         raise ValueError("stored coordinates disagree with stored turns")
     report = model.validate(turns, seq, allow_steric=doc["provenance"]["allow_steric"])
-    if doc["feasible"]:
-        if not report.feasible:
-            raise ValueError("stored feasible result fails re-validation")
-        if model.count_contacts(coords, seq) != doc["contacts"]:
-            raise ValueError("stored contact count fails re-validation")
+    if doc["feasible"] and not report.feasible:
+        raise ValueError("stored feasible result fails re-validation")
+    # a pair-exclusion violation is not visible in the turns, so an infeasible
+    # verdict stands; the contacts are recounted either way
+    if model.count_contacts(coords, seq) != doc["contacts"]:
+        raise ValueError("stored contact count fails re-validation")
     return doc

@@ -11,14 +11,17 @@ import pytest
 
 import hpfold as hp
 from hpfold import model
-from hpfold.encoder import (
-    VariableLayout,
+from hpfold.encoder import VariableLayout
+from hpfold.ising import basis_energies, cvar, qubo_to_ising
+from hpfold.polynomial import BinaryPolynomial
+from conftest import problem_from_polynomial
+from oracles import (
     build_continuity,
     build_objective,
     build_pair_exclusion,
+    ising_energy,
+    spin_operator,
 )
-from hpfold.ising import basis_energies, cvar, ising_energy, qubo_to_ising
-from hpfold.polynomial import BinaryPolynomial
 from hpfold.solvers import (
     AnsatzSpec,
     VqeSettings,
@@ -61,15 +64,11 @@ def batch_evaluate(poly, bits_matrix):
     return out
 
 
-def spin_evaluate(op, bits_matrix):
-    """Spin-form energies over rows of a 0/1 matrix, term by term."""
+def spin_evaluate(form, bits_matrix):
+    """Spin-form energies ``constant + z·h + zᵀJz`` over rows of a 0/1 matrix."""
+    constant, h, J = form
     z = 1.0 - 2.0 * bits_matrix
-    out = np.full(bits_matrix.shape[0], op.constant)
-    for i, coeff in op.h.items():
-        out += coeff * z[:, i]
-    for (a, b), coeff in op.j.items():
-        out += coeff * z[:, a] * z[:, b]
-    return out
+    return constant + z @ h + np.einsum("ri,ij,rj->r", z, J, z)
 
 
 def all_bitstrings(n):
@@ -101,20 +100,25 @@ def test_criterion_3_qubo_ising_equivalence():
             if rng.random() < 0.4:
                 terms[frozenset((i, jj))] = float(rng.normal())
         poly = BinaryPolynomial(terms)
-        op = qubo_to_ising(poly, n_vars=n)
+        # the smallest layout with at least n variables; the rest stay unused
+        layout = VariableLayout(-(-n // 6) + 1, first_turn_fixed=False)
+        form = qubo_to_ising(problem_from_polynomial(poly, layout))
+        op = spin_operator(poly, n_vars=n)
 
         bits = all_bitstrings(n)
+        padded = np.pad(bits, ((0, 0), (0, layout.n_vars - n)))
         qubo_vals = batch_evaluate(poly, bits)
-        ising_vals = spin_evaluate(op, bits)
+        ising_vals = spin_evaluate(form, padded)
         worst = max(worst, float(np.max(np.abs(qubo_vals - ising_vals))))
         # anchor both batched evaluations to the scalar evaluate() and ising_energy()
-        for row in bits[rng.integers(0, len(bits), size=5)]:
+        for r in rng.integers(0, len(bits), size=5):
+            row = bits[r]
             b = tuple(int(v) for v in row)
             assert poly.evaluate(b) == pytest.approx(
                 float(batch_evaluate(poly, np.array([row]))[0]), abs=1e-12
             )
             assert ising_energy(op, b) == pytest.approx(
-                float(spin_evaluate(op, np.array([row]))[0]), abs=1e-12
+                float(spin_evaluate(form, padded[r : r + 1])[0]), abs=1e-12
             )
     assert worst < 1e-9
     report(3, True, f"100 random problems, max |QUBO - spin| deviation {worst:.2e}")

@@ -9,18 +9,12 @@ from hpfold.encoder import (
     PenaltyConfig,
     VariableLayout,
     assemble,
-    build_continuity,
-    build_crossing,
-    build_objective,
-    build_overlap,
-    build_pair_exclusion,
     calibrate_penalties,
     crossing_pairs,
     draw_axes,
     overlap_pairs,
     qubo_from_json,
     qubo_to_json,
-    turn_square,
 )
 from hpfold.model import (
     decode_bitstring,
@@ -30,6 +24,14 @@ from hpfold.model import (
     turns_to_coordinates,
 )
 from hpfold.polynomial import BinaryPolynomial
+from oracles import (
+    build_continuity,
+    build_crossing,
+    build_objective,
+    build_overlap,
+    build_pair_exclusion,
+    turn_square,
+)
 
 
 def all_axis_draw(layout, axis="x"):
@@ -352,14 +354,6 @@ class TestAssemble:
 
     def test_penalty_linearity(self):
         seq, layout, pen, draw, q = self._problem("HPHH", fixed=False, seed=3)
-        from hpfold.encoder import (
-            build_continuity,
-            build_crossing,
-            build_objective,
-            build_overlap,
-            build_pair_exclusion,
-        )
-
         parts = {
             "obj": build_objective(seq, layout),
             "cont": build_continuity(layout, form="quadratic"),
@@ -421,9 +415,16 @@ class TestQuboJson:
             (lambda doc: doc.update(constant=float("nan")), "non-finite JSON constant NaN"),
             (lambda doc: doc["linear"][0].__setitem__(-1, float("nan")), "constant NaN"),
             (lambda doc: doc["quadratic"][0].__setitem__(-1, float("inf")), "constant Infinity"),
+            (lambda doc: doc.update(constant="73.5"), "constant must be a JSON number"),
+            (lambda doc: doc["linear"][0].__setitem__(-1, "1.5"),
+             "linear coefficient must be a JSON number"),
+            (lambda doc: doc["quadratic"][0].__setitem__(-1, True),
+             "quadratic coefficient must be a JSON number"),
+            (lambda doc: doc["metadata"].update(seed="7"), "seed must be a JSON integer"),
         ],
         ids=["diagonal-quadratic", "negative-index", "duplicate", "variable-count", "out-of-range",
-             "nan-constant", "nan-linear", "infinity-quadratic"],
+             "nan-constant", "nan-linear", "infinity-quadratic", "string-constant",
+             "string-linear", "boolean-quadratic", "string-seed"],
     )
     def test_malformed_entries_rejected(self, edit, message):
         seq = parse_sequence("HPPH")

@@ -4,19 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from hpfold.ising import (
-    IsingOperator,
-    SampleSet,
-    basis_energies,
-    cvar,
-    ising_energy,
-    ising_from_json,
-    ising_to_json,
-    qubo_to_ising,
-)
+from hpfold.ising import SampleSet, basis_energies, cvar, qubo_to_ising
 from conftest import problem_from_polynomial
 from hpfold.encoder import VariableLayout
 from hpfold.polynomial import BinaryPolynomial
+from oracles import IsingOperator, ising_energy, spin_operator
+
+SIX = VariableLayout(2, first_turn_fixed=False)  # six variables
 
 
 def x(i):
@@ -35,42 +29,46 @@ def random_quadratic(rng, n):
     return BinaryPolynomial(terms)
 
 
+def spin_form(poly):
+    return qubo_to_ising(problem_from_polynomial(poly, SIX))
+
+
+def spin_energy(form, bits):
+    """``constant + z·h + zᵀJz`` with z = 1 - 2x."""
+    constant, h, J = form
+    z = 1.0 - 2.0 * np.asarray(bits, dtype=float)
+    return constant + z @ h + z @ J @ z
+
+
 class TestQuboToIsing:
     def test_single_variable(self):
-        op = qubo_to_ising(x(0), n_vars=1)
-        assert op.constant == 0.5
-        assert op.h == {0: -0.5}
-        assert op.j == {}
+        constant, h, J = spin_form(x(0))
+        assert constant == 0.5
+        assert h.tolist() == [-0.5, 0, 0, 0, 0, 0]
+        assert not J.any()
 
     def test_product(self):
-        op = qubo_to_ising(x(0) * x(1), n_vars=2)
-        assert op.constant == 0.25
-        assert op.h == {0: -0.25, 1: -0.25}
-        assert op.j == {(0, 1): 0.25}
+        constant, h, J = spin_form(x(0) * x(1))
+        assert constant == 0.25
+        assert h.tolist() == [-0.25, -0.25, 0, 0, 0, 0]
+        assert J[0, 1] == 0.25 and np.count_nonzero(J) == 1
 
     def test_random_three_variable_equivalence(self):
         rng = np.random.default_rng(21)
         poly = random_quadratic(rng, 3)
-        op = qubo_to_ising(poly, n_vars=3)
-        for bits in itertools.product((0, 1), repeat=3):
-            assert ising_energy(op, bits) == pytest.approx(
-                poly.evaluate(bits), abs=1e-12
-            )
-
-    def test_degree_guard(self):
-        cubic = BinaryPolynomial({frozenset((0, 1, 2)): 1.0})
-        with pytest.raises(ValueError):
-            qubo_to_ising(cubic, n_vars=3)
+        form = spin_form(poly)
+        for bits in itertools.product((0, 1), repeat=6):
+            assert spin_energy(form, bits) == pytest.approx(poly.evaluate(bits), abs=1e-12)
 
     def test_constant_term_is_uniform_average(self):
         rng = np.random.default_rng(22)
         for n in (2, 3, 4):
             poly = random_quadratic(rng, n)
-            op = qubo_to_ising(poly, n_vars=n)
+            constant, _, _ = spin_form(poly)
             mean = np.mean(
                 [poly.evaluate(b) for b in itertools.product((0, 1), repeat=n)]
             )
-            assert op.constant == pytest.approx(mean, abs=1e-12)
+            assert constant == pytest.approx(mean, abs=1e-12)
 
 
 class TestIsingEnergy:
@@ -82,38 +80,33 @@ class TestIsingEnergy:
 
     def test_single_flip_local_field_identity(self):
         rng = np.random.default_rng(23)
-        poly = random_quadratic(rng, 5)
-        op = qubo_to_ising(poly, n_vars=5)
-        bits = [int(b) for b in rng.integers(0, 2, size=5)]
-        z = [1 - 2 * b for b in bits]
-        for i in range(5):
-            coupling = sum(
-                coeff * z[a if a != i else b]
-                for (a, b), coeff in op.j.items()
-                if i in (a, b)
-            )
-            expected_delta = -2 * z[i] * (op.h.get(i, 0.0) + coupling)
+        form = spin_form(random_quadratic(rng, 5))
+        _, h, J = form
+        bits = [int(b) for b in rng.integers(0, 2, size=6)]
+        z = 1 - 2 * np.array(bits)
+        for i in range(6):
+            coupling = (J + J.T)[i] @ z
+            expected_delta = -2 * z[i] * (h[i] + coupling)
             flipped = list(bits)
             flipped[i] ^= 1
-            assert ising_energy(op, flipped) - ising_energy(op, bits) == pytest.approx(
+            assert spin_energy(form, flipped) - spin_energy(form, bits) == pytest.approx(
                 expected_delta, abs=1e-12
             )
 
     def test_length_mismatch(self):
-        op = qubo_to_ising(x(0), n_vars=1)
+        op = spin_operator(x(0), n_vars=1)
         with pytest.raises(ValueError):
             ising_energy(op, (0, 1))
 
     def test_basis_energies_order(self):
         rng = np.random.default_rng(25)
-        layout = VariableLayout(2, first_turn_fixed=False)
-        q = problem_from_polynomial(random_quadratic(rng, 6), layout)
-        op = qubo_to_ising(q)
+        q = problem_from_polynomial(random_quadratic(rng, 6), SIX)
+        form = qubo_to_ising(q)
         energies = basis_energies(q)
         for s in range(64):
             bits = tuple((s >> i) & 1 for i in range(6))
             assert energies[s] == q.evaluate(bits)
-            assert energies[s] == pytest.approx(ising_energy(op, bits), abs=1e-12)
+            assert energies[s] == pytest.approx(spin_energy(form, bits), abs=1e-12)
 
 
 class TestSampleSet:
@@ -191,18 +184,3 @@ class TestCvar:
         with pytest.raises(ValueError):
             cvar([1.0, 2.0], 0.5, weights=[1.0])
 
-
-class TestIsingJson:
-    def test_round_trip(self):
-        rng = np.random.default_rng(28)
-        poly = random_quadratic(rng, 5)
-        op = qubo_to_ising(poly, n_vars=5)
-        op2 = ising_from_json(ising_to_json(op))
-        assert op2.n == op.n
-        assert op2.constant == op.constant
-        assert dict(op2.h) == dict(op.h)
-        assert dict(op2.j) == dict(op.j)
-
-    def test_spin_convention_recorded(self):
-        op = qubo_to_ising(x(0), n_vars=1)
-        assert "z=+1" in json.loads(ising_to_json(op))["spin_convention"]

@@ -159,6 +159,27 @@ class TestPipeline:
         Path(written["result.json"]).write_text(json.dumps(doc))
         assert load_result(written["result.json"])["turns"] == [list(t) for t in turns]
 
+    def test_revalidation_recounts_the_contacts_of_an_infeasible_result(self, tmp_path):
+        cfg = RunConfig(
+            sequence="HPPH", solver="exhaustive", draws=1, seed=2, out_dir=str(tmp_path)
+        )
+        result, written = hp.run_pipeline(cfg)
+        doc = json.loads(Path(written["result.json"]).read_text())
+        turns = ((1, 0, 0), (-1, 0, 0), (1, 0, 0))  # bead 3 lands on bead 1
+        coords = hp.turns_to_coordinates(turns)
+        assert not hp.validate(turns, result.sequence).feasible
+        assert hp.count_contacts(coords, result.sequence) == 1
+        doc.update(
+            turns=[list(t) for t in turns], coords=[list(c) for c in coords],
+            contacts=1, feasible=False,
+        )
+        Path(written["result.json"]).write_text(json.dumps(doc))
+        assert load_result(written["result.json"])["contacts"] == 1
+        doc["contacts"] = 7
+        Path(written["result.json"]).write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="contact count"):
+            load_result(written["result.json"])
+
     def test_byte_identical_rerun(self, tmp_path):
         def run(where):
             cfg = RunConfig(
@@ -605,11 +626,22 @@ class TestCli:
             ["--seq", "HPHPHPH", "--solver", "exhaustive"],  # 30 variables
             ["--seq", "HPHPHP", "--solver", "vqe"],  # 24 qubits
             ["--solver", "vqe", "--max-evals", "3"],  # below one simplex of 38
+            ["--weights-file", "1,4,nan"],  # the row, written to a weights file below
+            ["--weights-file", "1,4,inf"],
+            ["--lambda0", "nan"],
+            ["--lambda1", "inf"],
+            ["--lambda3-hint", "nan"],
+            ["--lambda3-hint", "inf"],
         ],
     )
     def test_bad_config_exits_before_any_draw(self, flags, tmp_path, monkeypatch, capsys):
         def no_draws(*args, **kwargs):
             raise AssertionError("a draw started")
+
+        if flags[0] == "--weights-file":
+            weights = tmp_path / "weights.csv"
+            weights.write_text(flags[1] + "\n")
+            flags = [flags[0], str(weights)]
 
         monkeypatch.setattr(hp.pipeline, "draw_axes", no_draws)
         argv = ["--seq", "HPPH", "--out-dir", str(tmp_path / "out")] + flags

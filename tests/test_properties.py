@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hpfold as hp
+import oracles
 from hpfold import ising, solvers
 from hpfold.ansatz import AnsatzSpec, probabilities, simulate
 from conftest import problem_from_polynomial
@@ -235,12 +236,44 @@ def test_row_energy_does_not_depend_on_the_batch(q, data):
 )
 def test_basis_energies_match_spin_form(q, chunk):
     n = q.n_vars
-    op = ising.qubo_to_ising(q)
+    op = oracles.spin_operator(q)
     with mock.patch.object(ising, "CHUNK", chunk):
         energies = ising.basis_energies(q)
     assert energies.shape == (1 << n,)
     for s in range(1 << n):
-        assert abs(energies[s] - ising.ising_energy(op, bits_of(s, n))) <= 1e-9
+        assert abs(energies[s] - oracles.ising_energy(op, bits_of(s, n))) <= 1e-9
+
+
+def _two_bead_problem():
+    """The problem a ``--seq HP`` run assembles: the first turn is fixed, so no variables."""
+    seq, layout = parse_sequence("HP"), VariableLayout(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # HP has no H pairs
+        penalties = encoder.calibrate_penalties(seq)
+    draw = encoder.draw_axes(np.random.default_rng(0), layout)
+    return encoder.assemble(seq, layout, penalties, draw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.one_of(quadratic_problems(max_used=12, coeff=REAL), ZERO_VARIABLE_PROBLEMS))
+@example(q=_two_bead_problem())
+def test_spin_form_matches_basis_energies_and_the_dict_oracle(q):
+    n = q.n_vars
+    constant, h, J = ising.qubo_to_ising(q)
+    assert h.shape == (n,) and J.shape == (n, n)  # (0,) and (0, 0) for HP
+    scale = abs(q.const) + np.abs(q.lin).sum() + np.abs(np.triu(q.quad)).sum()
+    z = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    spin = constant + z @ h + ((z @ J) * z).sum(axis=1)
+    assert np.all(np.abs(spin - ising.basis_energies(q)) <= 1e-9 * scale)
+    op = oracles.spin_operator(q)
+    dict_h, dict_J = np.zeros(n), np.zeros((n, n))
+    for i, coeff in op.h.items():
+        dict_h[i] = coeff
+    for pair, coeff in op.j.items():
+        dict_J[pair] = coeff
+    assert abs(constant - op.constant) <= 1e-12 * scale
+    assert np.all(np.abs(h - dict_h) <= 1e-12 * scale)
+    assert np.all(np.abs(J - dict_J) <= 1e-12 * scale)
 
 
 @settings(max_examples=20, deadline=None)
@@ -824,11 +857,11 @@ def encodings(draw):
 def test_assemble_matches_the_builders(case):
     seq, layout, pen, draw = case
     spec = (
-        pen.lambda0 * encoder.build_objective(seq, layout)
-        + pen.lambda1 * encoder.build_continuity(layout, form="quadratic")
-        - pen.lambda2 * encoder.build_overlap(layout, draw)
-        - pen.lambda3 * encoder.build_crossing(layout, draw)
-        + pen.lambda4 * encoder.build_pair_exclusion(layout)
+        pen.lambda0 * oracles.build_objective(seq, layout)
+        + pen.lambda1 * oracles.build_continuity(layout, form="quadratic")
+        - pen.lambda2 * oracles.build_overlap(layout, draw)
+        - pen.lambda3 * oracles.build_crossing(layout, draw)
+        + pen.lambda4 * oracles.build_pair_exclusion(layout)
     ).as_dict()
     got = encoder.assemble(seq, layout, pen, draw).polynomial.as_dict()
     assert got.keys() == spec.keys()
@@ -839,7 +872,7 @@ def test_assemble_matches_the_builders(case):
 
 def reference_simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     """Gate-by-gate ansatz state: from |0...0>, each of the reps + 1 layers applies
-    RY then RZ on every qubit, with the CNOTs of ``spec.entangler_pairs()``
+    RY then RZ on every qubit, with the CNOTs of ``oracles.entangler_pairs(spec)``
     between layers. Takes 2n(reps + 1) angles, the final RZ layer included."""
     n = spec.n_qubits
     state = np.zeros(1 << n, dtype=complex)
@@ -857,7 +890,7 @@ def reference_simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
             view[:, 0, :] *= np.exp(-0.5j * rz[q])
             view[:, 1, :] *= np.exp(0.5j * rz[q])
         if layer < spec.reps:
-            for control, target in spec.entangler_pairs():
+            for control, target in oracles.entangler_pairs(spec):
                 state = state[np.where((idx >> control) & 1, idx ^ (1 << target), idx)]
     return state
 

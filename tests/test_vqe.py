@@ -6,6 +6,7 @@ from hpfold.ansatz import AnsatzSpec, probabilities, random_initial_params, simu
 from hpfold.ising import basis_energies
 from hpfold.polynomial import BinaryPolynomial
 from hpfold.solvers import VqeSettings, postselect, vqe_statevector
+from oracles import entangler_pairs
 
 
 def x(i):
@@ -54,8 +55,8 @@ class TestAnsatz:
         assert probs[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_entangler_pairs(self):
-        assert AnsatzSpec(n_qubits=4, reps=1).entangler_pairs() == [(0, 1), (1, 2), (2, 3)]
-        assert AnsatzSpec(n_qubits=4, reps=1, entangler="circular").entangler_pairs() == [
+        assert entangler_pairs(AnsatzSpec(n_qubits=4, reps=1)) == [(0, 1), (1, 2), (2, 3)]
+        assert entangler_pairs(AnsatzSpec(n_qubits=4, reps=1, entangler="circular")) == [
             (0, 1),
             (1, 2),
             (2, 3),
