@@ -179,10 +179,6 @@ class PenaltyConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PenaltyConfig":
-        return cls(**{k: float(v) for k, v in doc.items()})
-
 
 def calibrate_penalties(
     seq: HpSequence,
@@ -204,6 +200,8 @@ def calibrate_penalties(
 
     lambda2 = 1.0
     lambda3 = float(lambda3_hint)
+    if not (math.isfinite(lambda3) and lambda3 >= 0):
+        raise ValueError(f"lambda3_hint must be finite and non-negative, got {lambda3_hint}")
     if n0 > 0:
         lambda0 = (lambda2 * n2 + lambda3 * n3) / n0
     else:
@@ -393,24 +391,35 @@ def qubo_to_json(q: QuboProblem, sequence: str | None = None) -> str:
 def qubo_from_json(text: str) -> QuboProblem:
     """Reload a problem written by ``qubo_to_json``; malformed entries raise ValueError.
 
-    The constant and every coefficient must be JSON numbers (not strings or
-    booleans), and the seed an integer.
+    The constant, every coefficient and every penalty weight must be JSON
+    numbers (not strings or booleans) that fit a float; the seed, ``n_beads``
+    and the ``fixed_turn`` entries must be JSON integers and
+    ``first_turn_fixed`` a JSON boolean.
     """
     def reject(constant: str):
         raise ValueError(f"non-finite JSON constant {constant}")
 
-    def number(value, what: str):
-        # JSON numbers load as exactly int or float
+    def exact(value, kind: type, what: str):
+        # JSON integers and booleans load as exactly int and bool
+        if type(value) is not kind:
+            name = "boolean" if kind is bool else "integer"
+            raise ValueError(f"{what} must be a JSON {name}, got {value!r}")
+        return value
+
+    def number(value, what: str) -> float:
         if type(value) not in (int, float):
             raise ValueError(f"{what} must be a JSON number, got {value!r}")
-        return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{what} is too large for a float") from None
 
     doc = json.loads(text, parse_constant=reject)
     meta = doc["metadata"]
     layout = VariableLayout(
-        n_beads=meta["n_beads"],
-        first_turn_fixed=meta["first_turn_fixed"],
-        fixed_turn=tuple(meta["fixed_turn"]),
+        n_beads=exact(meta["n_beads"], int, "n_beads"),
+        first_turn_fixed=exact(meta["first_turn_fixed"], bool, "first_turn_fixed"),
+        fixed_turn=tuple(exact(c, int, "fixed_turn entry") for c in meta["fixed_turn"]),
     )
     n = layout.n_vars
     if doc["variables"] != n:
@@ -428,11 +437,9 @@ def qubo_from_json(text: str) -> QuboProblem:
             seen.add(key)
             dense[idx[0], idx[-1]] = dense[idx[-1], idx[0]] = number(coeff, f"{name} coefficient")
     lin = np.diag(dense)
-    if type(meta["seed"]) is not int:
-        raise ValueError(f"seed must be a JSON integer, got {meta['seed']!r}")
-    penalties = PenaltyConfig.from_dict(meta["penalties"])
+    penalties = PenaltyConfig(**{k: number(v, k) for k, v in meta["penalties"].items()})
     draw = AxisDraw.from_dict(meta["axis_draw"])
     return QuboProblem(
         number(doc["constant"], "constant"), lin, dense - np.diag(lin), layout, penalties,
-        draw, meta["seed"],
+        draw, exact(meta["seed"], int, "seed"),
     )

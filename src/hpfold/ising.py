@@ -169,8 +169,12 @@ def cvar(energies, alpha: float, weights=None) -> float:
         raise ValueError("weights must be positive and match the energies")
 
     order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    w = w[order]
+    return sorted_cvar(energies[order], w[order], alpha)
+
+
+def sorted_cvar(energies: np.ndarray, w: np.ndarray, alpha: float) -> float:
+    """``cvar`` of ascending float ``energies`` with positive weights ``w`` of the
+    same shape, unchecked: what ``cvar`` passes on after checking and sorting."""
     mass = alpha * float(w.sum())
     take = np.minimum(w, np.maximum(mass - np.concatenate(([0.0], np.cumsum(w)[:-1])), 0.0))
     return float(np.dot(energies, take) / mass)

@@ -20,7 +20,7 @@ import numpy as np
 from . import ising, model
 from .ansatz import AnsatzSpec, probabilities, random_initial_params, simulate
 from .encoder import QuboProblem, VariableLayout, crossing_pairs, overlap_pairs
-from .ising import SampleSet, cvar, unique_rows
+from .ising import SampleSet, sorted_cvar, unique_rows
 
 EXHAUSTIVE_VARIABLE_BUDGET = 24
 # Distinct states each solver passes on to post-selection by default.
@@ -129,13 +129,12 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> SolveRes
     variables are relabelled once so that every class of
     ``coupling_classes`` is a contiguous block of rows. Every sweep visits
     the classes in a random order and proposes all members of a class in one
-    step: members share no coupling, so their flip costs, read from
-    maintained local fields, do not change while the others flip, and the
-    step equals flipping them one at a time. A class that no restart accepts
-    changes nothing, so it is skipped. After a sweep in which at most a
-    quarter of the classes were accepted anywhere, the next sweep computes
-    the flip costs of all variables in one pass and jumps to the first
-    remaining class that some restart accepts.
+    step: members share no coupling, so their flip costs, read from the
+    current spins, do not change while the others flip, and the step equals
+    flipping them one at a time. After a sweep in which at most a quarter of
+    the classes were accepted anywhere, the next sweep computes the flip
+    costs of all variables in one pass and jumps to the first remaining
+    class that some restart accepts.
 
     The sweep-end state of every restart is recorded and deduplicated on
     packed-bit keys (``ising.unique_rows``). Energies, the trace and the best
@@ -148,23 +147,26 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> SolveRes
     n = q.n_vars
     const, lin, quad = q.to_dense()
     perm, starts = coupling_classes(quad)
-    lin, quad = lin[perm, None], quad[np.ix_(perm, perm)]
+    quad = quad[np.ix_(perm, perm)]
+    # With spin = 1 - 2x and a closing 1, flipping x_j costs
+    # spin_j * (cost_j . spin), since cost_j . spin = lin_j + quad_j . x.
+    cost = np.hstack([-0.5 * quad, (lin[perm] + 0.5 * quad.sum(axis=1))[:, None]])
     rng = np.random.default_rng(sched.seed)
     r = sched.restarts
 
     # Variables are rows, restarts columns: a class is a contiguous block.
-    x = rng.integers(0, 2, size=(r, n)).T[perm].astype(float)
-    g = lin + quad @ x  # g[j, s] = flip cost of x_j from 0 to 1 in state s
-    spin = 1.0 - 2.0 * x  # flipping x_j costs g[j] * spin[j]
+    spin = np.ones((n + 1, r))
+    spin[:n] -= 2 * rng.integers(0, 2, size=(r, n)).T[perm]
     thresholds = np.empty((n, r))
-    # per class: views of its rows of g, spin and thresholds, which are all
-    # updated in place, and its couplings
-    blocks = [(g[c], spin[c], thresholds[c], quad[c].T) for c in map(slice, starts, starts[1:])]
+    # per class: views of its rows of spin and thresholds, which are updated
+    # in place, and its flip-cost product
+    blocks = [(spin[c], thresholds[c], cost[c].dot) for c in map(slice, starts, starts[1:])]
 
     sweeps = sched.sweeps
-    snap_states = np.empty((sweeps, n, r), dtype=np.uint8)
+    snap_states = np.empty((sweeps + 1, n, r), dtype=np.uint8)  # row 0: the start states
+    snap_states[0] = spin[:n] < 0
     accepting = len(blocks)  # classes of the previous sweep that some restart accepted
-    for sweep, t in enumerate(sched.temperatures()):
+    for sweep, t in enumerate(sched.temperatures(), 1):
         order = rng.permutation(len(blocks))
         # accept iff u < exp(-dE/T), i.e. dE < -T*log(u); 1-u is uniform too
         rng.random(out=thresholds)
@@ -174,30 +176,27 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> SolveRes
         # step costs more than the step. BENCH_12.json compares cut-offs for
         # single-variable steps; BENCH_15.json times the look-ahead for classes.
         quiet = 4 * accepting <= len(blocks)
-        accepting = step = 0
+        step = 0
         while step < len(blocks):
             if quiet:  # jump to the next class that some restart accepts
-                hits = (g * spin < thresholds).any(axis=1)
+                hits = (cost.dot(spin) * spin[:n] < thresholds).any(axis=1)
                 hits = np.logical_or.reduceat(hits, starts[:-1])[order[step:]]
                 skip = hits.argmax()
                 if not hits[skip]:
                     break
                 step += skip
-            g_c, spin_c, thresholds_c, quad_c = blocks[order[step]]
-            accept = g_c * spin_c < thresholds_c
+            spin_c, thresholds_c, dot_c = blocks[order[step]]
+            np.putmask(spin_c, dot_c(spin) * spin_c < thresholds_c, -spin_c)
             step += 1
-            if not np.count_nonzero(accept):  # nothing changes
-                continue
-            accepting += 1
-            delta = spin_c * accept  # the change in the class's x
-            np.negative(spin_c, out=spin_c, where=accept)
-            g += quad_c @ delta
-        snap_states[sweep] = spin < 0
+        snap_states[sweep] = spin[:n] < 0
+        # each class was visited once, so it accepted somewhere iff a member changed
+        changed = (snap_states[sweep] != snap_states[sweep - 1]).any(axis=1)
+        accepting = np.count_nonzero(np.logical_or.reduceat(changed, starts[:-1]))
 
     # one row per sweep-end state, sweep-major, in the original labels; "clip"
     # (the indices are valid) lets take write into out without a temporary
     states = np.empty((sweeps, r, n), dtype=np.uint8)
-    np.take(snap_states.transpose(0, 2, 1), np.argsort(perm), axis=2, out=states, mode="clip")
+    np.take(snap_states[1:].transpose(0, 2, 1), np.argsort(perm), axis=2, out=states, mode="clip")
     states = states.reshape(sweeps * r, n)
     first, inverse = unique_rows(states)
     uniq = states[first]
@@ -386,7 +385,7 @@ def _sampled_cvar(
     u = s / (s[-1] + rng.standard_gamma(shots + 1 - m))
     # u < 1 exactly, but it may round to 1; the last state takes it then
     tail = sorted_energies[np.searchsorted(cdf[:-1], u, side="right")]
-    return cvar(tail, alpha * shots / m)
+    return sorted_cvar(tail, np.ones(m), alpha * shots / m)
 
 
 def vqe_statevector(
@@ -425,7 +424,7 @@ def vqe_statevector(
 
     trace: list[tuple[int, float, float]] = []
     state = {"evals": 0, "best_value": np.inf, "best_params": x0.copy()}
-    # Weights are read in energy order, so cvar's stable sort finds them sorted.
+    # Energies and weights are read in ascending energy order, as sorted_cvar needs.
     by_energy = np.argsort(energies, kind="stable")
     sorted_energies = energies[by_energy]
 
@@ -435,7 +434,7 @@ def vqe_statevector(
             value = _sampled_cvar(rng, sorted_energies, weights, alpha, shots)
         else:
             nz = weights.nonzero()[0]
-            value = cvar(sorted_energies[nz], alpha, weights[nz])
+            value = sorted_cvar(sorted_energies[nz], weights[nz], alpha)
         state["evals"] += 1
         if value < state["best_value"]:
             state["best_value"] = value

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -332,6 +333,13 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             PenaltyConfig(-1, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("hint", [math.inf, -math.inf, math.nan, -0.5])
+    def test_bad_lambda3_hint_named(self, hint):
+        # the hint is rejected by its own name, not by the weights derived from it
+        for beads in ("HPPH", "PPPP"):
+            with pytest.raises(ValueError, match="lambda3_hint must be finite and non-negative"):
+                calibrate_penalties(parse_sequence(beads), lambda3_hint=hint)
+
 
 class TestAssemble:
     def _problem(self, beads="HPPH", fixed=True, seed=0):
@@ -421,10 +429,26 @@ class TestQuboJson:
             (lambda doc: doc["quadratic"][0].__setitem__(-1, True),
              "quadratic coefficient must be a JSON number"),
             (lambda doc: doc["metadata"].update(seed="7"), "seed must be a JSON integer"),
+            (lambda doc: doc["metadata"]["penalties"].update(lambda0="1.5"),
+             "lambda0 must be a JSON number"),
+            (lambda doc: doc["metadata"]["penalties"].update(lambda2=True),
+             "lambda2 must be a JSON number"),
+            (lambda doc: doc["metadata"].update(fixed_turn=[True, 0, 0]),
+             "fixed_turn entry must be a JSON integer"),
+            (lambda doc: doc["metadata"].update(first_turn_fixed=1),
+             "first_turn_fixed must be a JSON boolean"),
+            (lambda doc: doc["metadata"].update(n_beads=4.0), "n_beads must be a JSON integer"),
+            (lambda doc: doc["linear"][0].__setitem__(-1, 10**400),
+             "linear coefficient is too large for a float"),
+            (lambda doc: doc.update(constant=-(10**400)), "constant is too large for a float"),
+            (lambda doc: doc["metadata"]["penalties"].update(lambda1=10**400),
+             "lambda1 is too large for a float"),
         ],
         ids=["diagonal-quadratic", "negative-index", "duplicate", "variable-count", "out-of-range",
              "nan-constant", "nan-linear", "infinity-quadratic", "string-constant",
-             "string-linear", "boolean-quadratic", "string-seed"],
+             "string-linear", "boolean-quadratic", "string-seed", "string-lambda0",
+             "boolean-lambda2", "boolean-fixed-turn", "integer-first-turn-fixed", "float-n-beads",
+             "huge-linear", "huge-constant", "huge-lambda1"],
     )
     def test_malformed_entries_rejected(self, edit, message):
         seq = parse_sequence("HPPH")

@@ -649,6 +649,17 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("hint", ["inf", "nan", "-1"])
+    def test_bad_lambda3_hint_exits_before_any_draw(self, hint, tmp_path, monkeypatch, capsys):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(hp.pipeline, "draw_axes", no_draws)
+        argv = ["--seq", "HPPH", f"--lambda3-hint={hint}", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "lambda3_hint must be finite and non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_old_length_resume_params_exit_before_any_draw(self, tmp_path, monkeypatch, capsys):
         # 48 = 2 * 12 * (1 + 1), the length before the final RZ layer was dropped
         params = tmp_path / "params.json"

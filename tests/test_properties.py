@@ -548,6 +548,24 @@ def test_anneal_matches_the_plain_loop(case):
     assert_same_run(anneal(q, sched), reference_anneal(q, sched))
 
 
+@pytest.mark.parametrize(
+    "beads, sweeps",
+    [
+        # paper settings: 48 variables, lambda0 = 50/9, 811 of 2000 sweeps quiet
+        ("HPPHPPHPHH", 2000),
+        # 156 variables, 104 of 200 sweeps quiet
+        ("HPHHPPHPHHPPPHHPHPPHHHPPHPHP", 200),
+    ],
+)
+def test_anneal_matches_the_plain_loop_at_paper_scale(beads, sweeps):
+    seq = parse_sequence(beads)
+    layout = VariableLayout(len(seq))
+    draw = encoder.draw_axes(np.random.default_rng(2024), layout)
+    q = encoder.assemble(seq, layout, encoder.calibrate_penalties(seq), draw, rng_seed=2024)
+    sched = default_schedule(q, sweeps=sweeps, seed=7)
+    assert_same_run(anneal(q, sched), reference_anneal(q, sched))
+
+
 def scalar_anneal(q, sched):
     """One variable flips at a time, in Python scalars: classes in the
     sweep's order, members by index, restarts in turn, with an incremental
@@ -1205,6 +1223,22 @@ def test_tail_cvar_at_the_cdf_steps():
     assert solvers._sampled_cvar(stub(0.0), energies, low_gap, 0.5, 2) == 1.0
     assert solvers._sampled_cvar(stub(1.0), energies, mid_gap, 0.5, 2) == 4.0
     assert solvers._sampled_cvar(stub(1.0, gamma=1e-300), energies, low_gap, 0.5, 2) == 4.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(REAL | st.sampled_from([-0.0, 0.0, 1.0]), min_size=1, max_size=60),
+    alpha=st.floats(1e-6, 1.0),
+    weights=st.none() | st.lists(st.floats(1e-6, 10.0), min_size=60, max_size=60),
+)
+def test_tail_cvar_sorted_path_equals_cvar(values, alpha, weights):
+    # The objectives hand sorted_cvar ascending energies: unit weights for a
+    # sampled tail, positive probabilities for the exact distribution.
+    energies = np.array(sorted(values))
+    w = np.ones(energies.size) if weights is None else np.array(weights[: energies.size])
+    want = ising.cvar(energies, alpha, None if weights is None else w)
+    got = ising.sorted_cvar(energies, w, alpha)
+    assert repr(got) == repr(want)
 
 
 def multinomial_cvar(rng, sorted_energies, probs, by_energy, alpha, shots):
