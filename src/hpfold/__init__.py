@@ -37,7 +37,8 @@ from .ising import SampleSet, cvar, qubo_to_ising
 from .ansatz import AnsatzSpec, probabilities, simulate
 from .solvers import (
     AnnealSchedule,
-    SolveResult,
+    Population,
+    Selection,
     VqeSettings,
     anneal,
     default_schedule,

@@ -141,7 +141,12 @@ class AxisDraw:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "AxisDraw":
+    def from_dict(cls, doc: dict, n_beads: int) -> "AxisDraw":
+        """Load ``to_dict`` output that lists every pair of an ``n_beads`` chain once."""
+        for name, layout_pairs in (("overlap", overlap_pairs), ("crossing", crossing_pairs)):
+            pairs = layout_pairs(n_beads)
+            if sorted((i, j) for i, j, _ in doc[name] if type(i) is type(j) is int) != pairs:
+                raise ValueError(f"axis_draw must list each {name} pair once, in integers")
         return cls(
             overlap={(i, j): ax for i, j, ax in doc["overlap"]},
             crossing={(r, k): ax for r, k, ax in doc["crossing"]},
@@ -394,8 +399,13 @@ def qubo_from_json(text: str) -> QuboProblem:
     The constant, every coefficient and every penalty weight must be JSON
     numbers (not strings or booleans) that fit a float; the seed, ``n_beads``
     and the ``fixed_turn`` entries must be JSON integers and
-    ``first_turn_fixed`` a JSON boolean.
+    ``first_turn_fixed`` a JSON boolean. Every key must be present, and the
+    penalties and the axis draw must name each weight and each pair once.
     """
+    class Strict(dict):
+        def __missing__(self, key):
+            raise ValueError(f"missing key {key!r}")
+
     def reject(constant: str):
         raise ValueError(f"non-finite JSON constant {constant}")
 
@@ -414,7 +424,7 @@ def qubo_from_json(text: str) -> QuboProblem:
         except OverflowError:
             raise ValueError(f"{what} is too large for a float") from None
 
-    doc = json.loads(text, parse_constant=reject)
+    doc = json.loads(text, parse_constant=reject, object_hook=Strict)
     meta = doc["metadata"]
     layout = VariableLayout(
         n_beads=exact(meta["n_beads"], int, "n_beads"),
@@ -437,9 +447,11 @@ def qubo_from_json(text: str) -> QuboProblem:
             seen.add(key)
             dense[idx[0], idx[-1]] = dense[idx[-1], idx[0]] = number(coeff, f"{name} coefficient")
     lin = np.diag(dense)
-    penalties = PenaltyConfig(**{k: number(v, k) for k, v in meta["penalties"].items()})
-    draw = AxisDraw.from_dict(meta["axis_draw"])
+    weights = [f.name for f in fields(PenaltyConfig)]
+    for key in sorted(set(meta["penalties"]) - set(weights)):
+        raise ValueError(f"unknown penalty key {key!r}")
+    penalties = PenaltyConfig(**{k: number(meta["penalties"][k], k) for k in weights})
     return QuboProblem(
         number(doc["constant"], "constant"), lin, dense - np.diag(lin), layout, penalties,
-        draw, exact(meta["seed"], int, "seed"),
+        AxisDraw.from_dict(meta["axis_draw"], layout.n_beads), exact(meta["seed"], int, "seed"),
     )

@@ -4,7 +4,10 @@ The overlap and crossing rewards each act along one randomly drawn axis per
 pair, so a single encoding is a random representative of the problem. The
 pipeline therefore assembles ``draws`` independently seeded encodings, solves
 each, post-selects each population, and keeps the overall best feasible
-conformation. Everything derives deterministically from one master seed.
+conformation. It runs stage by stage over a contiguous range of draws (all
+of them, or one range per worker): assemble every problem, then solve every
+problem, then post-select every population. Everything derives
+deterministically from one master seed and the draw index.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, replace
-from itertools import repeat
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -37,7 +40,8 @@ from .solvers import (
     TOP_K,
     AnnealSchedule,
     AnsatzSpec,
-    SolveResult,
+    Population,
+    Selection,
     VqeSettings,
     anneal,
     check_vqe_settings,
@@ -104,13 +108,13 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class DrawOutcome:
-    """Post-selected result of one axis draw."""
+    """One axis draw: its problem, the solver's population and post-selection's verdict."""
 
     draw: int
     seed: int
-    selected: SolveResult
-    solver_trace: tuple[tuple[int, float, float], ...]
     qubo: QuboProblem
+    population: Population
+    selected: Selection
 
 
 @dataclass(frozen=True)
@@ -126,42 +130,37 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _solve_one_draw(
-    seq: model.HpSequence,
-    layout: VariableLayout,
-    penalties: PenaltyConfig,
-    cfg: RunConfig,
-    spec: Optional[AnsatzSpec],
-    settings: Optional[VqeSettings],
-    draw_idx: int,
-) -> DrawOutcome:
-    draw_seed = _derived_seed(cfg.seed, draw_idx, 0)
-    solver_seed = _derived_seed(cfg.seed, draw_idx, 1)
+def _solve_draws(
+    seq: model.HpSequence, layout: VariableLayout, penalties: PenaltyConfig, cfg: RunConfig,
+    spec: Optional[AnsatzSpec], settings: Optional[VqeSettings], draws: range,
+) -> list[DrawOutcome]:
+    """Run the draws of ``draws`` stage by stage: assemble, solve, post-select."""
+    seeds = [_derived_seed(cfg.seed, d, 0) for d in draws]
+    problems = [
+        assemble(seq, layout, penalties, draw_axes(np.random.default_rng(s), layout), rng_seed=s)
+        for s in seeds
+    ]
 
-    rng = np.random.default_rng(draw_seed)
-    axis_draw = draw_axes(rng, layout)
-    q = assemble(seq, layout, penalties, axis_draw, rng_seed=draw_seed)
+    populations = []
+    for d, q in zip(draws, problems):
+        solver_seed = _derived_seed(cfg.seed, d, 1)
+        if cfg.solver == "anneal":
+            sched = default_schedule(q, sweeps=cfg.sweeps, restarts=cfg.restarts, seed=solver_seed)
+            populations.append(anneal(q, sched, keep=cfg.top_k))
+        elif cfg.solver == "exhaustive":
+            populations.append(exhaustive(q, keep=cfg.top_k))
+        else:
+            populations.append(vqe_statevector(
+                basis_energies(q), spec, replace(settings, seed=solver_seed),
+                alpha=cfg.alpha, shots=cfg.shots, keep=cfg.top_k,
+            ))
 
-    if cfg.solver == "anneal":
-        sched = default_schedule(q, sweeps=cfg.sweeps, restarts=cfg.restarts, seed=solver_seed)
-        solved = anneal(q, sched, keep=cfg.top_k)
-    elif cfg.solver == "exhaustive":
-        solved = exhaustive(q, keep=cfg.top_k)
-    else:
-        solved = vqe_statevector(
-            basis_energies(q), spec, replace(settings, seed=solver_seed),
-            alpha=cfg.alpha, shots=cfg.shots, keep=cfg.top_k,
-        )
-
-    selected = postselect(solved.samples, q, seq, allow_steric=cfg.allow_steric)
-    provenance = {**selected.provenance, "top_k": cfg.top_k, **solved.provenance}
-    return DrawOutcome(
-        draw=draw_idx,
-        seed=draw_seed,
-        selected=replace(selected, provenance=provenance),
-        solver_trace=solved.trace,
-        qubo=q,
-    )
+    outcomes = []
+    for d, s, q, pop in zip(draws, seeds, problems, populations):
+        sel = postselect(pop.samples, q, seq, allow_steric=cfg.allow_steric)
+        provenance = {**sel.provenance, "top_k": cfg.top_k, **pop.provenance}
+        outcomes.append(DrawOutcome(d, s, q, pop, replace(sel, provenance=provenance)))
+    return outcomes
 
 
 def solve_sequence(cfg: RunConfig) -> PipelineResult:
@@ -179,39 +178,30 @@ def solve_sequence(cfg: RunConfig) -> PipelineResult:
         check_vqe_settings(spec, settings)
     penalties = calibrate_penalties(seq, cfg.lambda3_hint, cfg.lambda_overrides)
 
-    args = (*map(repeat, (seq, layout, penalties, cfg, spec, settings)), range(cfg.draws))
-    if cfg.workers > 1:
+    stages = partial(_solve_draws, seq, layout, penalties, cfg, spec, settings)
+    workers = min(cfg.workers, cfg.draws)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only workers > 1 loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_solve_one_draw, *args))
+        bounds = [cfg.draws * w // workers for w in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(stages, map(range, bounds, bounds[1:]))
+            outcomes = [out for part in parts for out in part]
     else:
-        outcomes = list(map(_solve_one_draw, *args))
+        outcomes = stages(range(cfg.draws))
 
-    def rank(out: DrawOutcome):
-        sel = out.selected
-        return (
-            not sel.feasible,
-            -(sel.contacts or 0),
-            sel.best_value,
-            out.draw,
-        )
-
-    best = min(outcomes, key=rank)
-    return PipelineResult(
-        sequence=seq,
-        config=cfg,
-        best=best,
-        draws=tuple(outcomes),
-        max_contacts=model.max_contacts(seq),
-    )
+    # feasible first, then the most contacts, the lowest energy and the first draw
+    best = min(outcomes, key=lambda out: (
+        not out.selected.feasible, -out.selected.contacts, out.selected.best_value, out.draw
+    ))
+    return PipelineResult(seq, cfg, best, tuple(outcomes), model.max_contacts(seq))
 
 
 def result_document(result: PipelineResult) -> dict:
     """JSON-ready summary of a pipeline run."""
     cfg = result.config
     sel = result.best.selected
-    doc = {
+    return {
         "sequence": str(result.sequence),
         "solver": cfg.solver,
         "seed": cfg.seed,
@@ -224,8 +214,8 @@ def result_document(result: PipelineResult) -> dict:
         "energy": sel.best_value,
         "bitstring": "".join(map(str, sel.best_bits)),
         "turns": [list(t) for t in model.decode_bitstring(sel.best_bits, result.best.qubo.layout)],
-        "coords": [list(c) for c in (sel.conformation or ())],
-        "violations": sel.report.to_dict() if sel.report else None,
+        "coords": [list(c) for c in sel.conformation],
+        "violations": sel.report.to_dict(),
         "penalties": result.best.qubo.penalties.to_dict(),
         "provenance": sel.provenance,
         "per_draw": [
@@ -241,7 +231,6 @@ def result_document(result: PipelineResult) -> dict:
             for out in result.draws
         ],
     }
-    return doc
 
 
 def emit(result: PipelineResult, out_dir: Optional[str] = None) -> dict[str, str]:
@@ -269,23 +258,21 @@ def emit(result: PipelineResult, out_dir: Optional[str] = None) -> dict[str, str
             "result.json",
             json.dumps(result_document(result), indent=2, sort_keys=True, allow_nan=False),
         )
-        write("samples.json", sel.samples.to_json())
-    if "xyz" in cfg.formats and sel.conformation:
+        write("samples.json", result.best.population.samples.to_json())
+    if "xyz" in cfg.formats:
         write("conformation.xyz", model.conformation_to_xyz(sel.conformation, result.sequence))
     if "csv" in cfg.formats:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["draw", "iteration", "objective", "best_so_far"])
         for out in result.draws:
-            for iteration, objective, best_so_far in out.solver_trace:
+            for iteration, objective, best_so_far in out.population.trace:
                 writer.writerow([out.draw, iteration, objective, best_so_far])
         write("trace.csv", buf.getvalue())
     if cfg.export_qubo:
         write("qubo.json", qubo_to_json(result.best.qubo, sequence=str(result.sequence)))
     if cfg.solver == "vqe":
-        params = result.best.selected.provenance.get("final_params")
-        if params is not None:
-            write("params.json", json.dumps(params, allow_nan=False))
+        write("params.json", json.dumps(sel.provenance["final_params"], allow_nan=False))
     return written
 
 

@@ -5,8 +5,10 @@ that proposes uncoupled variables together, an exact exhaustive scan for
 small variable counts, and a CVaR objective variational loop over an exact
 statevector. The loop's optimizer is an in-package Nelder-Mead simplex that
 evaluates the same points as scipy's, so every solver runs on numpy alone.
-Post-selection then checks every sampled bitstring's geometry in one array
-pass and keeps the maximum-contact feasible conformation.
+Each solver returns a ``Population``: its distinct states best first, so row
+0 is its best, with its trace and provenance. Post-selection checks every
+row's geometry in one array pass and returns a ``Selection``: the
+maximum-contact feasible conformation, its report and the rejection census.
 """
 
 from __future__ import annotations
@@ -81,22 +83,27 @@ def default_schedule(
 
 
 @dataclass(frozen=True)
-class SolveResult:
-    """Outcome of one solver run, before or after post-selection."""
+class Population:
+    """A solver's distinct states, best first, so that row 0 is its best state."""
 
-    best_bits: tuple[int, ...]
-    best_value: float
     samples: SampleSet
     trace: tuple[tuple[int, float, float], ...]  # (iteration, objective, best so far)
     provenance: dict
-    conformation: Optional[model.Conformation] = None
-    contacts: Optional[int] = None
-    feasible: Optional[bool] = None
-    report: Optional[model.FeasibilityReport] = None
-    # for annealing: sweep at which each sample row first appeared
-    sample_first_seen: Optional[np.ndarray] = None
-    # after post-selection: feasible candidates and rejected candidates per constraint type
-    census: Optional[dict] = None
+    first_seen: Optional[np.ndarray] = None  # anneal only: the sweep each row first appeared
+
+
+@dataclass(frozen=True)
+class Selection:
+    """Post-selection's verdict on one population: the winning row and its checks."""
+
+    best_bits: tuple[int, ...]
+    best_value: float
+    conformation: model.Conformation
+    contacts: int
+    feasible: bool
+    report: model.FeasibilityReport
+    census: dict  # feasible candidates and rejected candidates per constraint type
+    provenance: dict
 
 
 def _check_keep(keep: int) -> None:
@@ -122,7 +129,7 @@ def coupling_classes(quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, starts
 
 
-def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> SolveResult:
+def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> Population:
     """Simulated annealing with Metropolis single-flip sweeps over colour classes.
 
     All restarts run in lockstep as columns of one state matrix. The
@@ -137,11 +144,11 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> SolveRes
     class that some restart accepts.
 
     The sweep-end state of every restart is recorded and deduplicated on
-    packed-bit keys (``ising.unique_rows``). Energies, the trace and the best
-    state all come from energies recomputed from the states, so they do not
-    depend on the path taken; the best state is the first one recorded at
-    the lowest energy. The ``keep`` lowest-energy distinct states, ties by
-    bitstring, form the returned population.
+    packed-bit keys (``ising.unique_rows``). Energies and the trace come from
+    energies recomputed from the states, so they do not depend on the path
+    taken. The ``keep`` lowest-energy distinct states, ties by bitstring, form
+    the returned population; ``first_seen`` gives each row's first sweep, and
+    ``sweeps_to_best`` the first sweep that reached the lowest energy.
     """
     _check_keep(keep)
     n = q.n_vars
@@ -201,17 +208,13 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> SolveRes
     first, inverse = unique_rows(states)
     uniq = states[first]
     uniq_energy = q.energies(uniq)
-    energy = uniq_energy[inverse]
-    best = int(np.argmin(energy))
-    sweep_min = energy.reshape(sweeps, r).min(axis=1)
+    sweep_min = uniq_energy[inverse].reshape(sweeps, r).min(axis=1)
     trace = zip(range(sweeps), sweep_min.tolist(), np.minimum.accumulate(sweep_min).tolist())
     uniq_counts = np.bincount(inverse, minlength=uniq.shape[0])
     order = np.argsort(uniq_energy, kind="stable")[:keep]
     samples = SampleSet(uniq[order], uniq_counts[order], uniq_energy[order])
 
-    return SolveResult(
-        best_bits=tuple(states[best].tolist()),
-        best_value=float(energy[best]),
+    return Population(
         samples=samples,
         trace=tuple(trace),
         provenance={
@@ -221,13 +224,13 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> SolveRes
             "t_final": sched.t_final,
             "sweeps": sched.sweeps,
             "restarts": sched.restarts,
-            "sweeps_to_best": best // r,
+            "sweeps_to_best": int(np.argmin(sweep_min)),
         },
-        sample_first_seen=first[order] // r,  # first occurrences; rows are sweep-major
+        first_seen=first[order] // r,  # first occurrences; rows are sweep-major
     )
 
 
-def exhaustive(q: QuboProblem, keep: int = TOP_K) -> SolveResult:
+def exhaustive(q: QuboProblem, keep: int = TOP_K) -> Population:
     """Exact scan of all 2^n assignments; retains the ``keep`` lowest states.
 
     States are ranked by their ``ising.energy_chunks`` energies, which equal
@@ -241,31 +244,34 @@ def exhaustive(q: QuboProblem, keep: int = TOP_K) -> SolveResult:
             f"{n} variables exceed the exhaustive budget of {EXHAUSTIVE_VARIABLE_BUDGET}"
         )
     _check_keep(keep)
-    # The candidates are the best keep states seen so far by (energy, index),
-    # and every later state whose energy is at most the keep-th of them.
-    cand_idx, cand_energy, kth = np.empty(0, dtype=np.int64), np.empty(0), np.inf
+    # The pool holds the best keep states of the last cut by (energy, index)
+    # and every later state whose energy is at most the keep-th of them. It is
+    # cut back to keep rows once it holds 2 * keep, and after the last chunk.
+    pool_idx, pool_energy, size, kth = [], [], 0, np.inf
     for c, energy in enumerate(ising.energy_chunks(q)):
+        stride = (1 << n) // energy.size  # also the number of chunks
         new = np.flatnonzero(energy <= kth)
-        cand_idx = np.concatenate([cand_idx, c + new * ((1 << n) // energy.size)])
-        cand_energy = np.concatenate([cand_energy, energy[new]])
-        if cand_idx.size > keep:
-            kth = np.partition(cand_energy, keep - 1)[keep - 1]
-            below, tied = cand_energy < kth, cand_energy == kth
+        pool_idx.append(c + new * stride)
+        pool_energy.append(energy[new])
+        size += new.size
+        if size >= 2 * keep or (c == stride - 1 and size > keep):
+            pool_idx, pool_energy = np.concatenate(pool_idx), np.concatenate(pool_energy)
+            kth = np.partition(pool_energy, keep - 1)[keep - 1]
+            below, tied = pool_energy < kth, pool_energy == kth
             # the ties at kth that fit, lowest indices first
             spare = keep - np.count_nonzero(below)
-            cut = np.partition(cand_idx[tied], spare - 1)[spare - 1]
-            kept = below | (tied & (cand_idx <= cut))
-            cand_idx, cand_energy = cand_idx[kept], cand_energy[kept]
-
-    bits = (cand_idx[:, None] >> np.arange(n)) & 1
-    samples = SampleSet(bits, np.ones(cand_idx.size, dtype=np.int64), cand_energy)
+            cut = np.partition(pool_idx[tied], spare - 1)[spare - 1]
+            kept = below | (tied & (pool_idx <= cut))
+            pool_idx, pool_energy, size = [pool_idx[kept]], [pool_energy[kept]], keep
+    # bit i of a state index is variable i; unpacking its bytes makes no (k, n) int64 temporaries
+    index_bytes = np.concatenate(pool_idx).astype("<u8").view(np.uint8).reshape(size, 8)
+    bits = np.unpackbits(index_bytes, axis=1, count=n, bitorder="little")
+    samples = SampleSet(bits, np.ones(size, dtype=np.int64), np.concatenate(pool_energy))
     best = float(samples.energies[0])
-    return SolveResult(
-        best_bits=tuple(samples.bits[0].tolist()),
-        best_value=best,
+    return Population(
         samples=samples,
         trace=((0, best, best),),
-        provenance={"solver": "exhaustive", "states_scanned": 1 << n, "kept": cand_idx.size},
+        provenance={"solver": "exhaustive", "states_scanned": 1 << n, "kept": size},
     )
 
 
@@ -395,7 +401,7 @@ def vqe_statevector(
     alpha: float = CVAR_ALPHA,
     shots: int = 0,
     keep: int = TOP_K,
-) -> SolveResult:
+) -> Population:
     """Minimize the CVaR of the measured energy over the ansatz parameters.
 
     ``energies`` holds the energy of every basis state, indexed by state
@@ -461,9 +467,7 @@ def vqe_statevector(
     samples = SampleSet((kept[:, None] >> np.arange(n)) & 1, counts, energies[kept])
     if len(counts) > keep:  # only a sample holds more states than keep
         samples = SampleSet(samples.bits[:keep], samples.counts[:keep], samples.energies[:keep])
-    return SolveResult(
-        best_bits=tuple(samples.bits[0].tolist()),
-        best_value=float(samples.energies[0]),
+    return Population(
         samples=samples,
         trace=tuple(trace),
         provenance={
@@ -527,7 +531,7 @@ def postselect(
     q: QuboProblem,
     seq: model.HpSequence,
     allow_steric: bool = True,
-) -> SolveResult:
+) -> Selection:
     """Pick the best geometrically valid conformation from a sample population.
 
     Every row is a candidate; all are checked in one array pass
@@ -556,16 +560,9 @@ def postselect(
         pair_exclusion=model.pair_exclusions(bits, q.layout),
     )
     conf = model.turns_to_coordinates(turns)
-    return SolveResult(
+    return Selection(
         best_bits=bits,
         best_value=float(samples.energies[pick]),
-        samples=samples,
-        trace=(),
-        provenance={
-            "solver": "postselect",
-            "candidates": len(counts),
-            "allow_steric": allow_steric,
-        },
         conformation=conf,
         contacts=model.count_contacts(conf, seq),
         feasible=report.feasible,
@@ -576,4 +573,6 @@ def postselect(
                 zip(CANDIDATE_COUNTS[:-1], np.count_nonzero(counts[:, :-1], axis=0).tolist())
             ),
         },
+        provenance={"solver": "postselect", "candidates": len(counts),
+                    "allow_steric": allow_steric},
     )

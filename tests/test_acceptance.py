@@ -366,7 +366,7 @@ def feasible_first_seen(res, q, seq):
     """Map each feasible contact count in an anneal population to the first
     sweep at which a state with that count was recorded."""
     first = {}
-    for (bits, _c, _e), sweep in zip(res.samples.entries, res.sample_first_seen):
+    for (bits, _c, _e), sweep in zip(res.samples.entries, res.first_seen):
         turns = model.decode_bitstring(bits, q.layout)
         rep = model.validate(
             turns, seq, pair_exclusion=model.pair_exclusions(bits, q.layout)

@@ -443,12 +443,21 @@ class TestQuboJson:
             (lambda doc: doc.update(constant=-(10**400)), "constant is too large for a float"),
             (lambda doc: doc["metadata"]["penalties"].update(lambda1=10**400),
              "lambda1 is too large for a float"),
+            (lambda doc: doc["metadata"]["penalties"].update(lambda9=1.0),
+             "unknown penalty key 'lambda9'"),
+            (lambda doc: doc["metadata"]["penalties"].pop("lambda0"), "missing key 'lambda0'"),
+            (lambda doc: doc["metadata"].pop("seed"), "missing key 'seed'"),
+            (lambda doc: doc["metadata"].pop("axis_draw"), "missing key 'axis_draw'"),
+            (lambda doc: doc.pop("constant"), "missing key 'constant'"),
+            (lambda doc: doc.pop("metadata"), "missing key 'metadata'"),
         ],
         ids=["diagonal-quadratic", "negative-index", "duplicate", "variable-count", "out-of-range",
              "nan-constant", "nan-linear", "infinity-quadratic", "string-constant",
              "string-linear", "boolean-quadratic", "string-seed", "string-lambda0",
              "boolean-lambda2", "boolean-fixed-turn", "integer-first-turn-fixed", "float-n-beads",
-             "huge-linear", "huge-constant", "huge-lambda1"],
+             "huge-linear", "huge-constant", "huge-lambda1", "unknown-lambda9",
+             "missing-lambda0", "missing-seed", "missing-axis-draw", "missing-constant",
+             "missing-metadata"],
     )
     def test_malformed_entries_rejected(self, edit, message):
         seq = parse_sequence("HPPH")
@@ -458,6 +467,33 @@ class TestQuboJson:
         doc = json.loads(qubo_to_json(q, sequence="HPPH"))
         qubo_from_json(json.dumps(doc))
         edit(doc)
+        with pytest.raises(ValueError, match=message):
+            qubo_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda draw: draw["overlap"].pop(), "each overlap pair once"),
+            (lambda draw: draw["overlap"].__setitem__(-1, draw["overlap"][0]),
+             "each overlap pair once"),
+            (lambda draw: draw["overlap"].append([1, 2, "x"]), "each overlap pair once"),
+            (lambda draw: draw["overlap"][0].__setitem__(0, 1.0),
+             "each overlap pair once, in integers"),
+            (lambda draw: draw["crossing"].clear(), "each crossing pair once"),
+            (lambda draw: draw["crossing"].append(draw["crossing"][0]),
+             "each crossing pair once"),
+        ],
+        ids=["missing-overlap", "repeated-overlap", "adjacent-overlap", "float-overlap-index",
+             "no-crossing", "repeated-crossing"],
+    )
+    def test_axis_draw_must_list_every_pair_once(self, edit, message):
+        seq = parse_sequence("HPPH")
+        layout = VariableLayout(4)
+        draw = draw_axes(np.random.default_rng(3), layout)
+        q = assemble(seq, layout, calibrate_penalties(seq), draw)
+        doc = json.loads(qubo_to_json(q, sequence="HPPH"))
+        assert qubo_from_json(json.dumps(doc)).axis_draw == q.axis_draw
+        edit(doc["metadata"]["axis_draw"])
         with pytest.raises(ValueError, match=message):
             qubo_from_json(json.dumps(doc))
 

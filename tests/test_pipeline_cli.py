@@ -254,7 +254,8 @@ class TestPipeline:
         assert result.sequence.weight(1, 3) == 2.5
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        # each task carries the run's settings, the VQE ones included, to its worker
+        # each worker runs one contiguous range of draws with the run's settings,
+        # the VQE ones included; 8 workers for 5 draws leaves no range empty
         for solver, extra in [
             ("exhaustive", {}),
             ("anneal", {"sweeps": 40, "restarts": 3}),
@@ -262,17 +263,19 @@ class TestPipeline:
                      "resume_params": tuple(0.1 * i for i in range(18))}),
         ]:
             base = dict(
-                sequence="HPH", solver=solver, draws=3, seed=11, formats=("json",), **extra
+                sequence="HPH", solver=solver, draws=5, seed=11, formats=("json",), **extra
             )
             serial, _ = hp.run_pipeline(
-                RunConfig(out_dir=str(tmp_path / solver / "s"), workers=1, **base)
+                RunConfig(out_dir=str(tmp_path / solver / "1"), workers=1, **base)
             )
-            parallel, _ = hp.run_pipeline(
-                RunConfig(out_dir=str(tmp_path / solver / "p"), workers=2, **base)
-            )
-            assert result_document(serial) == result_document(parallel), solver
-            samples = [(tmp_path / solver / d / "samples.json").read_bytes() for d in "sp"]
-            assert samples[0] == samples[1], solver
+            for workers in (2, 3, 8):
+                out_dir = str(tmp_path / solver / str(workers))
+                parallel, _ = hp.run_pipeline(RunConfig(out_dir=out_dir, workers=workers, **base))
+                assert [out.draw for out in parallel.draws] == list(range(5)), (solver, workers)
+                assert result_document(parallel) == result_document(serial), (solver, workers)
+                samples = [(tmp_path / solver / d / "samples.json").read_bytes()
+                           for d in ("1", str(workers))]
+                assert samples[0] == samples[1], (solver, workers)
 
     @pytest.mark.parametrize(
         "extra",
@@ -288,7 +291,7 @@ class TestPipeline:
         result = solve_sequence(RunConfig(draws=1, top_k=5000, **extra))
         provenance = result.best.selected.provenance
         assert provenance["top_k"] == provenance["candidates"] == 5000
-        assert len(result.best.selected.samples.bits) == 5000
+        assert len(result.best.population.samples.bits) == 5000
 
     @pytest.mark.parametrize(
         "solver,extra",

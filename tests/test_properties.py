@@ -70,7 +70,7 @@ def test_exhaustive_matches_brute_force(q, keep, chunk):
         result = exhaustive(q, keep=keep)
     assert [e[0] for e in result.samples.entries] == [bits_of(s, n) for s in expected]
     assert [e[2] for e in result.samples.entries] == [energies[s] for s in expected]
-    assert result.best_value == energies[expected[0]]
+    assert result.trace == ((0, energies[expected[0]], energies[expected[0]]),)
 
 
 # Decimal coefficients make many states tie in real arithmetic while their
@@ -114,8 +114,35 @@ def test_exhaustive_keeps_the_exact_ranking(q, chunk, data):
     assert result.samples.bits.shape == want_bits.shape
     assert result.samples.bits.tobytes() == want_bits.tobytes()
     assert result.samples.energies.tobytes() == energies[expected].tobytes()
-    assert result.best_value == energies[expected[0]]
+    assert result.trace == ((0, energies[expected[0]], energies[expected[0]]),)
     assert result.provenance == {"solver": "exhaustive", "states_scanned": 1 << n, "kept": expected.size}
+
+
+@pytest.mark.parametrize(
+    "keep_of",
+    [lambda m: 1, lambda m: 7, lambda m: m - 1, lambda m: m, lambda m: m + 5],
+    ids=["1", "7", "all-but-one", "all", "more-than-all"],
+)
+@settings(max_examples=25, deadline=None)
+@given(
+    q=quadratic_problems(max_used=12, coeff=st.integers(-2, 2)),
+    chunk=st.sampled_from([1, 2, 8, 64]),
+)
+def test_exhaustive_pool_cuts_keep_the_full_ranking(keep_of, q, chunk):
+    # The pool is cut at 2 * keep rows and after the last chunk; with small
+    # chunks the cuts fall at many places, and with small integers many
+    # states tie at the keep-th energy, where the lowest indices must win.
+    n = q.n_vars
+    keep = keep_of(1 << n)
+    states = np.arange(1 << n)
+    energies = q.energies((states[:, None] >> np.arange(n)) & 1)
+    kept = np.lexsort((states, energies))[:keep]
+    with mock.patch.object(ising, "CHUNK", chunk):
+        result = exhaustive(q, keep=keep)
+    got = result.samples.bits.astype(np.int64) @ (1 << np.arange(n))
+    assert sorted(got.tolist()) == sorted(kept.tolist())
+    assert result.samples.energies.tobytes() == np.sort(energies[kept]).tobytes()
+    assert result.provenance["kept"] == kept.size
 
 
 def qubo_of(const, lin, upper):
@@ -297,7 +324,6 @@ def test_sample_energies_are_state_energies(q, seed, shots):
     for result in results:
         for bits, _count, energy in result.samples.entries:
             assert energy == q.evaluate(bits)
-        assert result.best_value == q.evaluate(result.best_bits)
 
 
 def tuple_entries(samples):
@@ -425,9 +451,8 @@ def test_every_population_is_best_first(q, keep, seed):
         entries = tuple_entries(result.samples)
         assert 1 <= len(entries) <= keep
         assert entries == by_energy_then_bits(entries)
-        assert result.best_value == entries[0][2]
-    for result in results[1:]:  # the annealer's best state is the first one it recorded
-        assert result.best_bits == tuple_entries(result.samples)[0][0]
+    for result in results[:2]:  # row 0 holds the lowest energy the run recorded
+        assert result.trace[-1][2] == tuple_entries(result.samples)[0][2]
     # a sampled population keeps the keep best states of the whole sample
     whole = vqe_statevector(energies, spec, settings_, shots=256, keep=256)
     assert tuple_entries(sampled.samples) == tuple_entries(whole.samples)[:keep]
@@ -435,8 +460,8 @@ def test_every_population_is_best_first(q, keep, seed):
 
 def reference_anneal(q, sched):
     """The annealer as a plain loop over every (sweep, class) step, with
-    row-wise ``np.unique`` dedup and a scan for the best state: the oracle
-    for ``solvers.anneal``."""
+    row-wise ``np.unique`` dedup and a scan for the first sweep at the lowest
+    energy: the oracle for ``solvers.anneal``."""
     n = q.n_vars
     const, lin, quad = q.to_dense()
     perm, starts = solvers.coupling_classes(quad)
@@ -465,11 +490,11 @@ def reference_anneal(q, sched):
     uniq, first, inverse = np.unique(states, axis=0, return_index=True, return_inverse=True)
     uniq_energy = q.energies(uniq)
     energy = uniq_energy[inverse].reshape(sweeps, r)
-    trace, best, best_at = [], math.inf, None
+    trace, best, best_sweep = [], math.inf, None
     for sweep in range(sweeps):
         for s in range(r):
             if energy[sweep, s] < best:
-                best, best_at = energy[sweep, s], (sweep, s)
+                best, best_sweep = energy[sweep, s], sweep
         trace.append((sweep, float(energy[sweep].min()), float(best)))
     uniq_first = np.full(uniq.shape[0], sweeps)
     np.minimum.at(uniq_first, inverse, np.repeat(np.arange(sweeps), r))
@@ -477,9 +502,7 @@ def reference_anneal(q, sched):
     order = np.argsort(uniq_energy, kind="stable")[: solvers.TOP_K]
     samples = ising.SampleSet(uniq[order], uniq_counts[order], uniq_energy[order])
 
-    return solvers.SolveResult(
-        best_bits=tuple(int(b) for b in states[best_at[0] * r + best_at[1]]),
-        best_value=float(best),
+    return solvers.Population(
         samples=samples,
         trace=tuple(trace),
         provenance={
@@ -489,9 +512,9 @@ def reference_anneal(q, sched):
             "t_final": sched.t_final,
             "sweeps": sched.sweeps,
             "restarts": sched.restarts,
-            "sweeps_to_best": best_at[0],
+            "sweeps_to_best": best_sweep,
         },
-        sample_first_seen=uniq_first[order],
+        first_seen=uniq_first[order],
     )
 
 
@@ -531,13 +554,11 @@ def anneal_cases(draw, exact=False):
 
 
 def assert_same_run(got, want):
-    assert got.best_bits == want.best_bits
-    assert repr(got.best_value) == repr(want.best_value)
     assert repr(got.trace) == repr(want.trace)
     for name in ("bits", "counts", "energies"):
         a, b = getattr(got.samples, name), getattr(want.samples, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert np.array_equal(got.sample_first_seen, want.sample_first_seen)
+    assert np.array_equal(got.first_seen, want.first_seen)
     assert got.provenance == want.provenance
 
 
@@ -589,7 +610,7 @@ def scalar_anneal(q, sched):
         for s in range(r)
     ]
     seen = {}  # state -> [count, first sweep, energy]
-    trace, best, best_at = [], math.inf, None
+    trace, best, best_sweep = [], math.inf, None
     for sweep, t in enumerate(sched.temperatures()):
         order = rng.permutation(len(classes))
         thresholds = -t * np.log(1.0 - rng.random((n, r)))
@@ -606,13 +627,11 @@ def scalar_anneal(q, sched):
             state = tuple(x[s])
             seen.setdefault(state, [0, sweep, energy[s]])[0] += 1
             if energy[s] < best:
-                best, best_at = energy[s], (sweep, state)
+                best, best_sweep = energy[s], sweep
         trace.append((sweep, float(min(energy)), float(best)))
 
     kept = sorted(seen, key=lambda b: (seen[b][2], b))[: solvers.TOP_K]
-    return solvers.SolveResult(
-        best_bits=best_at[1],
-        best_value=float(best),
+    return solvers.Population(
         samples=ising.SampleSet(
             np.array(kept, dtype=np.uint8).reshape(len(kept), n),
             np.array([seen[b][0] for b in kept]),
@@ -626,9 +645,9 @@ def scalar_anneal(q, sched):
             "t_final": sched.t_final,
             "sweeps": sched.sweeps,
             "restarts": sched.restarts,
-            "sweeps_to_best": best_at[0],
+            "sweeps_to_best": best_sweep,
         },
-        sample_first_seen=np.array([seen[b][1] for b in kept]),
+        first_seen=np.array([seen[b][1] for b in kept]),
     )
 
 
@@ -1023,7 +1042,6 @@ def test_vqe_is_unchanged_by_the_rotation_layer(spec, shots, extra_evals, seed):
         a, b = getattr(got.samples, name), getattr(want.samples, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert repr(got.trace) == repr(want.trace)
-    assert got.best_bits == want.best_bits and got.best_value == want.best_value
     assert got.provenance == want.provenance
 
 
@@ -1125,7 +1143,6 @@ def test_vqe_is_unchanged_by_the_in_package_simplex(spec, shots, extra_evals, re
         a, b = getattr(got.samples, name), getattr(want.samples, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert repr(got.trace) == repr(want.trace)
-    assert got.best_bits == want.best_bits and got.best_value == want.best_value
     assert got.provenance == want.provenance
 
 

@@ -47,15 +47,17 @@ class TestAnneal:
         poly = BinaryPolynomial.variable(0) + BinaryPolynomial()
         q = toy_problem(poly, 6)
         res = anneal(q, AnnealSchedule(t_initial=1.0, sweeps=50, restarts=2, seed=0))
-        assert res.best_bits[0] == 0
-        assert res.best_value == 0.0
+        best_bits, _, best_value = res.samples.entries[0]  # a population is best first
+        assert best_bits[0] == 0
+        assert best_value == 0.0
 
     def test_ferromagnetic_pair(self):
         poly = -1.0 * BinaryPolynomial.variable(0) * BinaryPolynomial.variable(1)
         q = toy_problem(poly, 6)
         res = anneal(q, AnnealSchedule(t_initial=1.0, sweeps=100, restarts=4, seed=1))
-        assert res.best_bits[0] == res.best_bits[1] == 1
-        assert res.best_value == -1.0
+        best_bits, _, best_value = res.samples.entries[0]
+        assert best_bits[0] == best_bits[1] == 1
+        assert best_value == -1.0
 
     def test_zero_temperature_strict_descent(self):
         _, q = folding_problem("HPPH", seed=2)
@@ -71,18 +73,18 @@ class TestAnneal:
         sched = AnnealSchedule(t_initial=10.0, sweeps=100, restarts=4, seed=5)
         r1 = anneal(q, sched)
         r2 = anneal(q, sched)
-        assert r1.best_bits == r2.best_bits
-        assert r1.best_value == r2.best_value
         assert r1.trace == r2.trace
         assert r1.samples.entries == r2.samples.entries
+        assert np.array_equal(r1.first_seen, r2.first_seen)
+        assert r1.provenance == r2.provenance
 
     def test_samples_energies_consistent(self):
         _, q = folding_problem("HPH", seed=6)
         res = anneal(q, AnnealSchedule(t_initial=10.0, sweeps=50, restarts=4, seed=7))
         for bits, _count, energy in res.samples.entries[:50]:
             assert energy == q.evaluate(bits)
-        assert res.sample_first_seen is not None
-        assert len(res.sample_first_seen) == len(res.samples.entries)
+        assert res.first_seen is not None
+        assert len(res.first_seen) == len(res.samples.entries)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -105,8 +107,8 @@ class TestAnneal:
         sched = default_schedule(q, sweeps=20, restarts=2)
         assert sched.t_initial == pytest.approx(t_initial)
         assert sched.t_final == pytest.approx(t_final)
-        res = anneal(q, sched)
-        assert res.best_value == q.evaluate(res.best_bits)
+        best_bits, _, best_value = anneal(q, sched).samples.entries[0]
+        assert best_value == q.evaluate(best_bits)
 
 
 class TestCouplingClasses:
@@ -138,9 +140,9 @@ class TestExhaustive:
     def test_single_variable_closed_form(self):
         poly = 2.0 * BinaryPolynomial.variable(0) - 0.5
         q = toy_problem(poly, 6)
-        res = exhaustive(q)
-        assert res.best_value == -0.5
-        assert res.best_bits[0] == 0
+        best_bits, _, best_value = exhaustive(q).samples.entries[0]
+        assert best_value == -0.5
+        assert best_bits[0] == 0
 
     def test_budget_guard(self):
         _, q_big = folding_problem("HPPHPP", fixed=False)  # 30 vars, over the cap
@@ -151,19 +153,19 @@ class TestExhaustive:
         _, q = folding_problem("HPHH", seed=8)
         ex = exhaustive(q)
         an = anneal(q, AnnealSchedule(t_initial=10.0, sweeps=200, restarts=4, seed=9))
-        assert ex.best_value <= an.best_value + 1e-9
-        assert all(an.best_value <= e + 1e-6 for _, _, e in an.samples.entries)
+        assert ex.samples.energies[0] <= an.samples.energies[0] + 1e-9
+        assert all(an.samples.energies[0] <= e + 1e-6 for _, _, e in an.samples.entries)
 
     def test_anneal_matches_exhaustive_usually(self):
         # paired-run experiment on an 18-variable instance
         _, q = folding_problem("HPHH", seed=10, fixed=False)
         assert q.n_vars == 18
-        exact = exhaustive(q, keep=1).best_value
+        exact = exhaustive(q, keep=1).samples.energies[0]
         hits = 0
         runs = 20
         for k in range(runs):
             res = anneal(q, default_schedule(q, sweeps=300, restarts=5, seed=100 + k))
-            if res.best_value <= exact + 1e-6:
+            if res.samples.energies[0] <= exact + 1e-6:
                 hits += 1
         assert hits >= int(0.95 * runs)
 

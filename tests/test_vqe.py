@@ -108,7 +108,7 @@ class TestVqeObjective:
             shots=0,
         )
         assert all(v == pytest.approx(4.2) for _, v, _ in res.trace)
-        assert res.best_value == pytest.approx(4.2)
+        assert res.samples.energies[0] == pytest.approx(4.2)
 
     def test_single_qubit_convergence(self):
         res = vqe_statevector(
@@ -128,7 +128,6 @@ class TestVqeObjective:
         settings = VqeSettings(max_evals=80, seed=9)
         r1 = vqe_statevector(energies, spec, settings, alpha=0.2, shots=64)
         r2 = vqe_statevector(energies, spec, settings, alpha=0.2, shots=64)
-        assert r1.best_bits == r2.best_bits
         assert r1.trace == r2.trace
         assert r1.samples.entries == r2.samples.entries
 
@@ -167,7 +166,7 @@ class TestVqeObjective:
             shots=128,
         )
         assert res.samples.shots == 128
-        assert res.best_value == pytest.approx(
+        assert res.samples.energies[0] == pytest.approx(
             min(e for _, _, e in res.samples.entries)
         )
 
