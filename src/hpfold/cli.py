@@ -16,6 +16,7 @@ import json
 import sys
 from typing import Optional
 
+from .encoder import json_value
 from .pipeline import SOLVERS, PipelineIOError, RunConfig, run_pipeline
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
@@ -95,8 +96,11 @@ def _load_weights(path: str) -> dict[tuple[int, int], float]:
                 continue
             if len(row) != 3:
                 raise ValueError(f"weights row must be j,k,weight: {row!r}")
-            j, k, w = int(row[0]), int(row[1]), float(row[2])
-            weights[(min(j, k), max(j, k))] = w
+            # keys go as written; HpSequence decides which pairs and orders are valid
+            key, w = (int(row[0]), int(row[1])), float(row[2])
+            if key in weights and weights[key] != w:
+                raise ValueError(f"conflicting weights for pair {key}")
+            weights[key] = w
     return weights
 
 
@@ -111,13 +115,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
             file_conf = json.load(fh)
         if not isinstance(file_conf, dict):
             raise ValueError("the config file must hold a JSON object")
-        known = {action.dest for action in build_parser()._actions} - {"help", "config"}
+        actions = {a.dest: a for a in build_parser()._actions if a.dest not in ("help", "config")}
         for key, value in file_conf.items():
-            norm = key.replace("-", "_")
-            if norm not in known:
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
                 raise ValueError(f"unknown config key {key!r}")
-            if value is not None:
-                merged[norm] = value
+            if value is not None:  # a boolean for a switch, else the flag's type or a string
+                kind = bool if action.nargs == 0 else action.type or str
+                merged[action.dest] = json_value(value, kind, f"config key {key!r}")
     merged.update(vars(args))
     return merged
 
@@ -146,10 +151,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if resume_path:
             with open(resume_path) as fh:
                 params = json.load(fh)
-            # JSON numbers load as exactly int or float; bool and str are refused
-            if not isinstance(params, list) or any(type(v) not in (int, float) for v in params):
+            if not isinstance(params, list):
                 raise ValueError(f"{resume_path} must hold a JSON array of numbers")
-            settings["resume_params"] = tuple(map(float, params))
+            what = f"each entry of {resume_path}"
+            settings["resume_params"] = tuple(json_value(v, float, what) for v in params)
 
         overrides = {
             f"lambda{i}": conf[f"lambda{i}"] for i in range(5) if f"lambda{i}" in conf

@@ -30,7 +30,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .model import AXES, HpSequence, hydrophobic_pairs
+from .model import AXES, FIXED_TURN, HpSequence, hydrophobic_pairs
 from .polynomial import PRUNE_THRESHOLD, BinaryPolynomial
 
 HALVES = ("plus", "minus")
@@ -52,7 +52,7 @@ class VariableLayout:
 
     n_beads: int
     first_turn_fixed: bool = True
-    fixed_turn: tuple[int, int, int] = (1, 0, 0)
+    fixed_turn: tuple[int, int, int] = FIXED_TURN
 
     def __post_init__(self):
         if self.n_beads < 2:
@@ -198,10 +198,8 @@ def calibrate_penalties(
     penalties default to an order of magnitude above everything else. Any
     value can be overridden explicitly.
     """
-    n = len(seq)
     n0 = len(hydrophobic_pairs(seq))
-    n2 = (n - 2) * (n - 1) // 2
-    n3 = (n - 3) * (n - 2) // 2
+    n2, n3 = len(overlap_pairs(len(seq))), len(crossing_pairs(len(seq)))
 
     lambda2 = 1.0
     lambda3 = float(lambda3_hint)
@@ -393,6 +391,18 @@ def qubo_to_json(q: QuboProblem, sequence: str | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
+def json_value(value, kind: type, what: str):
+    """``value`` as ``kind`` (bool, int, float or str) if JSON loaded it as that kind, a
+    float also from a JSON integer; else ValueError. So a boolean is never a number."""
+    if type(value) is not kind and (kind, type(value)) != (float, int):
+        name = {bool: "boolean", int: "integer", float: "number", str: "string"}[kind]
+        raise ValueError(f"{what} must be a JSON {name}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
 def qubo_from_json(text: str) -> QuboProblem:
     """Reload a problem written by ``qubo_to_json``; malformed entries raise ValueError.
 
@@ -409,27 +419,12 @@ def qubo_from_json(text: str) -> QuboProblem:
     def reject(constant: str):
         raise ValueError(f"non-finite JSON constant {constant}")
 
-    def exact(value, kind: type, what: str):
-        # JSON integers and booleans load as exactly int and bool
-        if type(value) is not kind:
-            name = "boolean" if kind is bool else "integer"
-            raise ValueError(f"{what} must be a JSON {name}, got {value!r}")
-        return value
-
-    def number(value, what: str) -> float:
-        if type(value) not in (int, float):
-            raise ValueError(f"{what} must be a JSON number, got {value!r}")
-        try:
-            return float(value)
-        except OverflowError:
-            raise ValueError(f"{what} is too large for a float") from None
-
     doc = json.loads(text, parse_constant=reject, object_hook=Strict)
     meta = doc["metadata"]
     layout = VariableLayout(
-        n_beads=exact(meta["n_beads"], int, "n_beads"),
-        first_turn_fixed=exact(meta["first_turn_fixed"], bool, "first_turn_fixed"),
-        fixed_turn=tuple(exact(c, int, "fixed_turn entry") for c in meta["fixed_turn"]),
+        n_beads=json_value(meta["n_beads"], int, "n_beads"),
+        first_turn_fixed=json_value(meta["first_turn_fixed"], bool, "first_turn_fixed"),
+        fixed_turn=tuple(json_value(c, int, "fixed_turn entry") for c in meta["fixed_turn"]),
     )
     n = layout.n_vars
     if doc["variables"] != n:
@@ -445,13 +440,15 @@ def qubo_from_json(text: str) -> QuboProblem:
             ):
                 raise ValueError(f"malformed or repeated {name} entry {entry}")
             seen.add(key)
-            dense[idx[0], idx[-1]] = dense[idx[-1], idx[0]] = number(coeff, f"{name} coefficient")
+            coeff = json_value(coeff, float, f"{name} coefficient")
+            dense[idx[0], idx[-1]] = dense[idx[-1], idx[0]] = coeff
     lin = np.diag(dense)
     weights = [f.name for f in fields(PenaltyConfig)]
     for key in sorted(set(meta["penalties"]) - set(weights)):
         raise ValueError(f"unknown penalty key {key!r}")
-    penalties = PenaltyConfig(**{k: number(meta["penalties"][k], k) for k in weights})
+    penalties = PenaltyConfig(**{k: json_value(meta["penalties"][k], float, k) for k in weights})
     return QuboProblem(
-        number(doc["constant"], "constant"), lin, dense - np.diag(lin), layout, penalties,
-        AxisDraw.from_dict(meta["axis_draw"], layout.n_beads), exact(meta["seed"], int, "seed"),
+        json_value(doc["constant"], float, "constant"), lin, dense - np.diag(lin), layout,
+        penalties, AxisDraw.from_dict(meta["axis_draw"], layout.n_beads),
+        json_value(meta["seed"], int, "seed"),
     )

@@ -1,7 +1,8 @@
 """Basis-state energies of a quadratic binary problem, its spin form, samples and CVaR.
 
 ``energy_chunks`` enumerates all 2^n energies, equal to ``QuboProblem.energies``
-bit for bit, for ``basis_energies`` and ``solvers.exhaustive``.
+bit for bit, for ``basis_energies`` and ``solvers.exhaustive``; both call
+``check_enumerable``, the one limit of such a scan.
 ``qubo_to_ising`` gives the Pauli-Z coefficients of the same problem under
 x = (1 - z) / 2, so bit 0 maps to z = +1 and bit 1 to z = -1. Every
 computational basis state is an eigenstate, so a bitstring's energy is a
@@ -30,6 +31,14 @@ def qubo_to_ising(q: QuboProblem) -> tuple[float, np.ndarray, np.ndarray]:
 
 # States per enumeration chunk; bounds the working memory of a 2^n scan.
 CHUNK = 1 << 16
+# Most variables a 2^n scan takes: 6 beads with the first turn fixed.
+ENUMERATION_LIMIT = 24
+
+
+def check_enumerable(n_vars: int) -> None:
+    """Refuse a 2^n scan over more than ``ENUMERATION_LIMIT`` variables."""
+    if n_vars > ENUMERATION_LIMIT:
+        raise ValueError(f"{n_vars} variables exceed the 2^n limit of {ENUMERATION_LIMIT}")
 
 
 def _subset_sums(start, terms: np.ndarray, out: np.ndarray) -> None:
@@ -72,8 +81,7 @@ def basis_energies(q: QuboProblem) -> np.ndarray:
     """Energies of all 2^n basis states from ``energy_chunks``, indexed by state s
     (bit i of s is (s >> i) & 1)."""
     n = q.n_vars
-    if n > 26:
-        raise ValueError(f"2^{n} basis states exceed the enumeration budget")
+    check_enumerable(n)
     out = np.empty(1 << n)
     for c, energy in enumerate(energy_chunks(q)):
         out[c :: out.size // energy.size] = energy
@@ -151,6 +159,14 @@ class SampleSet:
         )
 
 
+def check_cvar(alpha: float, shots: int = 0) -> None:
+    """Refuse a CVaR tail fraction outside (0, 1] or a shot count that is not an integer >= 0."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if not isinstance(shots, (int, np.integer)) or shots < 0:
+        raise ValueError(f"shots must be an integer >= 0 (0 = exact), got {shots!r}")
+
+
 def cvar(energies, alpha: float, weights=None) -> float:
     """Mean of the lowest alpha-tail of an energy distribution.
 
@@ -159,8 +175,7 @@ def cvar(energies, alpha: float, weights=None) -> float:
     the total weight and the boundary item enters with fractional weight, so
     the estimate is continuous in alpha and alpha = 1 recovers the plain mean.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    check_cvar(alpha)
     energies = np.asarray(energies, dtype=float)
     w = np.ones(energies.shape) if weights is None else np.asarray(weights, dtype=float)
     if energies.size == 0:

@@ -28,6 +28,8 @@ Coord = tuple[int, int, int]
 Conformation = tuple[Coord, ...]
 
 AXES = ("x", "y", "z")
+# The first turn when it is fixed: the encoder's layout and the enumeration oracle share it.
+FIXED_TURN: Turn = (1, 0, 0)
 
 
 def lattice_moves(allow_steric: bool = True) -> tuple[Turn, ...]:
@@ -315,7 +317,7 @@ def pair_exclusions(bits: Sequence[int], layout) -> list[tuple[int, str]]:
 def enumerate_optimal(
     seq: HpSequence,
     allow_steric: bool = True,
-    first_turn: Turn = (1, 0, 0),
+    first_turn: Turn = FIXED_TURN,
     max_beads: int = 7,
 ) -> tuple[int, Conformation]:
     """Brute-force maximum contact count over all feasible conformations.

@@ -33,10 +33,9 @@ from .encoder import (
     draw_axes,
     qubo_to_json,
 )
-from .ising import basis_energies
+from .ising import basis_energies, check_cvar, check_enumerable
 from .solvers import (
     CVAR_ALPHA,
-    EXHAUSTIVE_VARIABLE_BUDGET,
     TOP_K,
     AnnealSchedule,
     AnsatzSpec,
@@ -93,10 +92,7 @@ class RunConfig:
         for name in ("draws", "restarts", "sweeps", "top_k", "max_evals", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.shots < 0:
-            raise ValueError("shots must be >= 0 (0 = exact)")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        check_cvar(self.alpha, self.shots)
         if self.reps not in (1, 2):
             raise ValueError(f"reps must be 1 or 2, got {self.reps}")
         unknown = set(self.formats) - set(FORMATS)
@@ -167,10 +163,8 @@ def solve_sequence(cfg: RunConfig) -> PipelineResult:
     """Run the draw ensemble and pick the overall best conformation."""
     seq = model.parse_sequence(cfg.sequence, weights=cfg.weights)
     layout = VariableLayout(n_beads=len(seq), first_turn_fixed=cfg.fix_first_turn)
-    if cfg.solver == "exhaustive" and layout.n_vars > EXHAUSTIVE_VARIABLE_BUDGET:
-        raise ValueError(
-            f"{layout.n_vars} variables exceed the exhaustive budget of {EXHAUSTIVE_VARIABLE_BUDGET}"
-        )
+    if cfg.solver == "exhaustive":
+        check_enumerable(layout.n_vars)
     spec = settings = None
     if cfg.solver == "vqe":  # AnsatzSpec enforces the qubit budget
         spec = AnsatzSpec(n_qubits=layout.n_vars, reps=cfg.reps)

@@ -24,7 +24,6 @@ from .ansatz import AnsatzSpec, probabilities, random_initial_params, simulate
 from .encoder import QuboProblem, VariableLayout, crossing_pairs, overlap_pairs
 from .ising import SampleSet, sorted_cvar, unique_rows
 
-EXHAUSTIVE_VARIABLE_BUDGET = 24
 # Distinct states each solver passes on to post-selection by default.
 TOP_K = 4000
 # Default CVaR tail fraction of the variational objective.
@@ -239,10 +238,7 @@ def exhaustive(q: QuboProblem, keep: int = TOP_K) -> Population:
     depend on the chunking. The population lists them best first.
     """
     n = q.n_vars
-    if n > EXHAUSTIVE_VARIABLE_BUDGET:
-        raise ValueError(
-            f"{n} variables exceed the exhaustive budget of {EXHAUSTIVE_VARIABLE_BUDGET}"
-        )
+    ising.check_enumerable(n)
     _check_keep(keep)
     # The pool holds the best keep states of the last cut by (energy, index)
     # and every later state whose energy is at most the keep-th of them. It is
@@ -417,6 +413,7 @@ def vqe_statevector(
     best states of a ``shots`` multinomial sample, or the ``keep`` most probable.
     """
     _check_keep(keep)
+    ising.check_cvar(alpha, shots)
     n = spec.n_qubits
     if np.shape(energies) != (1 << n,):
         raise ValueError(f"{np.size(energies)} basis energies for {n} qubits")

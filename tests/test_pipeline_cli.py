@@ -493,11 +493,51 @@ class TestCli:
         assert main(["--config", str(conf)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_mistyped_config_value_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"alpha": "small"},
+            {"sweeps": 1.5},
+            {"restarts": 2.0},
+            {"draws": 2.5},
+            {"top_k": 2.5},
+            {"seed": 1.5},
+            {"format": ["json"]},
+            {"draws": True},
+            {"allow_steric": "no"},
+            {"fix_first_turn": "no"},
+            {"export_qubo": "no"},
+            {"lambda0": True},
+            {"shots": 1.5, "solver": "vqe"},
+            {"weights_file": 3},
+        ],
+        ids=lambda values: "-".join(f"{k}-{type(v).__name__}" for k, v in values.items()),
+    )
+    def test_mistyped_config_value_rejected(self, values, tmp_path, monkeypatch, capsys):
+        # each value must have its flag's kind: an int, a number, a boolean or a string
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(hp.pipeline, "draw_axes", no_draws)
         conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"seq": "HPH", "alpha": "small"}))
-        assert main(["--config", str(conf)]) == 2
-        assert "config error" in capsys.readouterr().err
+        conf.write_text(json.dumps({"seq": "HPPH", **values}))
+        assert main(["--config", str(conf), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"config key {next(iter(values))!r} must be" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_values_take_their_flags_kinds(self, tmp_path):
+        # a JSON integer is a number, so it serves a float flag, as it does on the command line
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({
+            "seq": "HPPH", "solver": "exhaustive", "draws": 1, "lambda0": 2, "format": "json",
+            "allow_steric": False, "export_qubo": True, "weights_file": None,
+        }))
+        out = tmp_path / "out"
+        assert main(["--config", str(conf), "--out-dir", str(out)]) == 0
+        doc = strict_json(out / "result.json")
+        assert doc["penalties"]["lambda0"] == 2.0 and doc["provenance"]["allow_steric"] is False
+        assert sorted(p.name for p in out.iterdir()) == ["qubo.json", "result.json", "samples.json"]
 
     def test_weights_file(self, tmp_path):
         wfile = tmp_path / "w.csv"
@@ -517,6 +557,18 @@ class TestCli:
             ]
         )
         assert code == 0
+
+    def test_weights_file_repeats_a_pair_only_with_its_weight(self, tmp_path):
+        # a pair written twice, in either order, with one weight is the pair written once
+        argv = ["--seq", "HPPH", "--solver", "exhaustive", "--draws", "2", "--format", "json"]
+        written = {}
+        for name, rows in (("once", "1,4,2\n"), ("twice", "1,4,2\n4,1,2\n")):
+            wfile = tmp_path / f"{name}.csv"
+            wfile.write_text(rows)
+            out = tmp_path / name
+            assert main(argv + ["--weights-file", str(wfile), "--out-dir", str(out)]) == 0
+            written[name] = (out / "result.json").read_bytes()
+        assert written["twice"] == written["once"]
 
     def test_resume_params_round_trip(self, tmp_path):
         out1 = tmp_path / "first"
@@ -635,6 +687,8 @@ class TestCli:
             ["--lambda1", "inf"],
             ["--lambda3-hint", "nan"],
             ["--lambda3-hint", "inf"],
+            ["--weights-file", "1,4,2\n1,4,3"],  # one pair, two weights
+            ["--weights-file", "1,4,2\n4,1,3"],  # the same pair written in both orders
         ],
     )
     def test_bad_config_exits_before_any_draw(self, flags, tmp_path, monkeypatch, capsys):
@@ -700,8 +754,8 @@ class TestCli:
         [
             ("123456789012345678", "must hold a JSON array of numbers"),  # 18 characters
             ({str(i): 0.0 for i in range(18)}, "must hold a JSON array of numbers"),  # 18 keys
-            (["0.5"] * 18, "must hold a JSON array of numbers"),
-            ([True] * 18, "must hold a JSON array of numbers"),
+            (["0.5"] * 18, "must be a JSON number, got '0.5'"),
+            ([True] * 18, "must be a JSON number, got True"),
             ([10**400] + [0] * 17, "too large"),
         ],
         ids=["string", "object", "strings", "booleans", "huge-int"],

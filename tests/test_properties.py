@@ -1047,7 +1047,7 @@ def test_vqe_is_unchanged_by_the_rotation_layer(spec, shots, extra_evals, seed):
 
 def scipy_nelder_mead(f, x0, maxfev, xatol, fatol):
     """The oracle of ``solvers._nelder_mead``: scipy's Nelder-Mead with the same options."""
-    from scipy.optimize import minimize  # a test dependency; no run imports scipy
+    minimize = pytest.importorskip("scipy.optimize").minimize  # a test dependency only
 
     minimize(f, x0, method="Nelder-Mead", options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
 
@@ -1346,7 +1346,7 @@ def test_exact_vqe_is_unchanged_by_the_tail_sampler(spec, alpha, extra_evals, ke
 
 @pytest.mark.parametrize("alpha, shots", [(0.05, 4000), (0.3, 256), (0.01, 1024)])
 def test_sampled_cvar_has_the_multinomial_law_at_12_qubits(alpha, shots):
-    from scipy.stats import ks_2samp  # a test dependency
+    ks_2samp = pytest.importorskip("scipy.stats").ks_2samp  # a test dependency only
 
     spec = AnsatzSpec(12)
     rng = np.random.default_rng([19, shots])

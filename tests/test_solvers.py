@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,25 @@ class TestExhaustive:
         _, q_big = folding_problem("HPPHPP", fixed=False)  # 30 vars, over the cap
         with pytest.raises(ValueError):
             exhaustive(q_big)
+
+    @pytest.mark.parametrize("scan", [exhaustive, basis_energies])
+    def test_2n_scans_share_one_limit_checked_before_allocating(self, scan, monkeypatch):
+        # 24 variables is 6 beads with the first turn fixed; the next size is 30
+        _, q_big = folding_problem("HPPHPP", fixed=False)
+
+        def no_scan(q):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(hp.ising, "energy_chunks", no_scan)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"30 variables exceed the 2\^n limit of 24"):
+                scan(q_big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # 2^30 energies would take 8 GiB
+        assert hp.ising.ENUMERATION_LIMIT == 24
 
     def test_bounds_anneal_and_samples(self):
         _, q = folding_problem("HPHH", seed=8)

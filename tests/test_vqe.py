@@ -141,6 +141,21 @@ class TestVqeObjective:
         with pytest.raises(ValueError, match="simplex"):
             vqe_statevector(energies_of(x(0), 2), spec, VqeSettings(max_evals=spec.n_params + 1))
 
+    @pytest.mark.parametrize(
+        "alpha, shots",
+        [(2.0, 0), (0.0, 0), (2.0, 100), (0.0, 100), (0.05, -5), (0.05, 1.5)],
+        ids=["alpha-2-exact", "alpha-0-exact", "alpha-2-shots", "alpha-0-shots",
+             "negative-shots", "fractional-shots"],
+    )
+    def test_bad_alpha_or_shots_refused_before_any_evaluation(self, alpha, shots, monkeypatch):
+        def no_evaluation(*args):
+            raise AssertionError("an evaluation started")
+
+        monkeypatch.setattr(hp.solvers, "simulate", no_evaluation)
+        energies = np.random.default_rng(3).normal(size=8)
+        with pytest.raises(ValueError, match="alpha must be in|shots must be an integer >= 0"):
+            vqe_statevector(energies, AnsatzSpec(3), VqeSettings(max_evals=60), alpha, shots)
+
     def test_zero_parameters_evaluate_once(self):
         res = vqe_statevector(
             np.array([-1.5]), AnsatzSpec(n_qubits=0, reps=1), VqeSettings(max_evals=1)
