@@ -403,6 +403,18 @@ def json_value(value, kind: type, what: str):
         raise ValueError(f"{what} is too large for a float") from None
 
 
+class _Strict(dict):
+    def __missing__(self, key):
+        raise ValueError(f"missing key {key!r}")
+
+
+def strict_json(text: str):
+    """Parse JSON with no NaN or Infinity, whose objects raise ValueError for a missing key."""
+    def reject(constant: str):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=reject, object_hook=_Strict)
+
+
 def qubo_from_json(text: str) -> QuboProblem:
     """Reload a problem written by ``qubo_to_json``; malformed entries raise ValueError.
 
@@ -412,14 +424,7 @@ def qubo_from_json(text: str) -> QuboProblem:
     ``first_turn_fixed`` a JSON boolean. Every key must be present, and the
     penalties and the axis draw must name each weight and each pair once.
     """
-    class Strict(dict):
-        def __missing__(self, key):
-            raise ValueError(f"missing key {key!r}")
-
-    def reject(constant: str):
-        raise ValueError(f"non-finite JSON constant {constant}")
-
-    doc = json.loads(text, parse_constant=reject, object_hook=Strict)
+    doc = strict_json(text)
     meta = doc["metadata"]
     layout = VariableLayout(
         n_beads=json_value(meta["n_beads"], int, "n_beads"),

@@ -88,6 +88,12 @@ def basis_energies(q: QuboProblem) -> np.ndarray:
     return out
 
 
+def index_bits(states: np.ndarray, n: int) -> np.ndarray:
+    """The (k, n) uint8 bits of k state indices, bit i of state s being (s >> i) & 1."""
+    index_bytes = np.asarray(states).astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(index_bytes, axis=1, count=n, bitorder="little")
+
+
 def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a (k, n) 0/1 matrix, as ``(first, inverse)``.
 

@@ -53,8 +53,8 @@ class HpSequence:
     """An ordered chain of H (hydrophobic) and P (polar) beads.
 
     ``weights`` optionally overrides the interaction strength of individual
-    H-H pairs, keyed by 1-based bead index pairs (j, k) with j < k. Pairs
-    without an entry default to weight 1.
+    non-bonded H-H pairs, keyed by 1-based bead index pairs (j, k) with
+    j + 1 < k. Pairs without an entry default to weight 1.
     """
 
     beads: tuple[str, ...]
@@ -74,11 +74,12 @@ class HpSequence:
                     raise ValueError(
                         f"weight key ({j},{k}) is not a pair of distinct H beads"
                     )
+                if abs(j - k) == 1:
+                    raise ValueError(f"weight key ({j},{k}) is a bonded pair, never a contact")
                 w = float(w)
                 if not math.isfinite(w):
                     raise ValueError(f"weight of pair ({j},{k}) must be finite, got {w}")
-                lo, hi = min(j, k), max(j, k)
-                key = (lo, hi)
+                key = (min(j, k), max(j, k))
                 if key in normalized and normalized[key] != w:
                     raise ValueError(f"conflicting weights for pair {key}")
                 normalized[key] = w

@@ -31,7 +31,9 @@ from .encoder import (
     assemble,
     calibrate_penalties,
     draw_axes,
+    json_value,
     qubo_to_json,
+    strict_json,
 )
 from .ising import basis_energies, check_cvar, check_enumerable
 from .solvers import (
@@ -260,8 +262,9 @@ def emit(result: PipelineResult, out_dir: Optional[str] = None) -> dict[str, str
         writer = csv.writer(buf)
         writer.writerow(["draw", "iteration", "objective", "best_so_far"])
         for out in result.draws:
-            for iteration, objective, best_so_far in out.population.trace:
-                writer.writerow([out.draw, iteration, objective, best_so_far])
+            trace = out.population.trace  # best_so_far is its running minimum
+            rows = zip(range(trace.size), trace.tolist(), np.minimum.accumulate(trace).tolist())
+            writer.writerows([out.draw, *row] for row in rows)
         write("trace.csv", buf.getvalue())
     if cfg.export_qubo:
         write("qubo.json", qubo_to_json(result.best.qubo, sequence=str(result.sequence)))
@@ -277,22 +280,23 @@ def run_pipeline(cfg: RunConfig) -> tuple[PipelineResult, dict[str, str]]:
 
 
 def load_result(path: str) -> dict:
-    """Load an emitted result document and re-validate it under the run's steric setting."""
+    """Load an emitted result document strictly and re-validate it under its steric setting."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = strict_json(fh.read())
     except OSError as exc:
         raise PipelineIOError(f"cannot read {path}: {exc}") from exc
-    seq = model.parse_sequence(doc["sequence"])
-    turns = tuple(tuple(t) for t in doc["turns"])
+    seq = model.parse_sequence(json_value(doc["sequence"], str, "sequence"))
+    turns = tuple(tuple(json_value(c, int, "turns entry") for c in t) for t in doc["turns"])
     coords = model.turns_to_coordinates(turns)
     if [list(c) for c in coords] != doc["coords"]:
         raise ValueError("stored coordinates disagree with stored turns")
-    report = model.validate(turns, seq, allow_steric=doc["provenance"]["allow_steric"])
-    if doc["feasible"] and not report.feasible:
+    steric = json_value(doc["provenance"]["allow_steric"], bool, "provenance.allow_steric")
+    report = model.validate(turns, seq, allow_steric=steric)
+    if json_value(doc["feasible"], bool, "feasible") and not report.feasible:
         raise ValueError("stored feasible result fails re-validation")
     # a pair-exclusion violation is not visible in the turns, so an infeasible
     # verdict stands; the contacts are recounted either way
-    if model.count_contacts(coords, seq) != doc["contacts"]:
+    if model.count_contacts(coords, seq) != json_value(doc["contacts"], int, "contacts"):
         raise ValueError("stored contact count fails re-validation")
     return doc

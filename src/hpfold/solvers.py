@@ -86,7 +86,7 @@ class Population:
     """A solver's distinct states, best first, so that row 0 is its best state."""
 
     samples: SampleSet
-    trace: tuple[tuple[int, float, float], ...]  # (iteration, objective, best so far)
+    trace: np.ndarray  # float64, the objective at each iteration (sweep or evaluation)
     provenance: dict
     first_seen: Optional[np.ndarray] = None  # anneal only: the sweep each row first appeared
 
@@ -208,14 +208,13 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> Populati
     uniq = states[first]
     uniq_energy = q.energies(uniq)
     sweep_min = uniq_energy[inverse].reshape(sweeps, r).min(axis=1)
-    trace = zip(range(sweeps), sweep_min.tolist(), np.minimum.accumulate(sweep_min).tolist())
     uniq_counts = np.bincount(inverse, minlength=uniq.shape[0])
     order = np.argsort(uniq_energy, kind="stable")[:keep]
     samples = SampleSet(uniq[order], uniq_counts[order], uniq_energy[order])
 
     return Population(
         samples=samples,
-        trace=tuple(trace),
+        trace=sweep_min,
         provenance={
             "solver": "anneal",
             "seed": sched.seed,
@@ -259,14 +258,11 @@ def exhaustive(q: QuboProblem, keep: int = TOP_K) -> Population:
             cut = np.partition(pool_idx[tied], spare - 1)[spare - 1]
             kept = below | (tied & (pool_idx <= cut))
             pool_idx, pool_energy, size = [pool_idx[kept]], [pool_energy[kept]], keep
-    # bit i of a state index is variable i; unpacking its bytes makes no (k, n) int64 temporaries
-    index_bytes = np.concatenate(pool_idx).astype("<u8").view(np.uint8).reshape(size, 8)
-    bits = np.unpackbits(index_bytes, axis=1, count=n, bitorder="little")
+    bits = ising.index_bits(np.concatenate(pool_idx), n)
     samples = SampleSet(bits, np.ones(size, dtype=np.int64), np.concatenate(pool_energy))
-    best = float(samples.energies[0])
     return Population(
         samples=samples,
-        trace=((0, best, best),),
+        trace=samples.energies[:1],
         provenance={"solver": "exhaustive", "states_scanned": 1 << n, "kept": size},
     )
 
@@ -421,12 +417,11 @@ def vqe_statevector(
     rng = np.random.default_rng(settings.seed)
 
     if settings.initial_params is not None:
-        x0 = np.asarray(settings.initial_params, dtype=float)
+        start = np.asarray(settings.initial_params, dtype=float)
     else:
-        x0 = random_initial_params(spec, rng)
+        start = random_initial_params(spec, rng)
 
-    trace: list[tuple[int, float, float]] = []
-    state = {"evals": 0, "best_value": np.inf, "best_params": x0.copy()}
+    values, points = [], []  # every evaluation, in order
     # Energies and weights are read in ascending energy order, as sorted_cvar needs.
     by_energy = np.argsort(energies, kind="stable")
     sorted_energies = energies[by_energy]
@@ -438,21 +433,18 @@ def vqe_statevector(
         else:
             nz = weights.nonzero()[0]
             value = sorted_cvar(sorted_energies[nz], weights[nz], alpha)
-        state["evals"] += 1
-        if value < state["best_value"]:
-            state["best_value"] = value
-            state["best_params"] = np.array(params)
-        trace.append((state["evals"], float(value), float(state["best_value"])))
+        values.append(value)
+        points.append(params)  # _nelder_mead passes each point as its own copy
         return value
 
     if spec.n_params == 0:  # nothing to optimize; one evaluation fixes the value
-        objective(x0)
-    start = x0
-    while spec.n_params and (budget := settings.max_evals - state["evals"]) >= spec.n_params + 2:
+        objective(start)
+    while spec.n_params and (budget := settings.max_evals - len(values)) >= spec.n_params + 2:
         _nelder_mead(objective, start, budget, xatol=1e-4, fatol=1e-6)
-        start = state["best_params"] + RESTART_SCALE * random_initial_params(spec, rng)
+        start = points[np.argmin(values)] + RESTART_SCALE * random_initial_params(spec, rng)
 
-    final_probs = probabilities(simulate(spec, state["best_params"]))
+    best = int(np.argmin(values))  # the first evaluation at the lowest value
+    final_probs = probabilities(simulate(spec, points[best]))
     if shots > 0:
         counts = rng.multinomial(shots, final_probs / final_probs.sum())
         kept = counts.nonzero()[0]
@@ -461,12 +453,12 @@ def vqe_statevector(
         kept = np.argsort(-final_probs, kind="stable")[:keep]
         kept = kept[final_probs[kept] > 1e-12]
         counts = np.ones(kept.size, dtype=int)
-    samples = SampleSet((kept[:, None] >> np.arange(n)) & 1, counts, energies[kept])
+    samples = SampleSet(ising.index_bits(kept, n), counts, energies[kept])
     if len(counts) > keep:  # only a sample holds more states than keep
         samples = SampleSet(samples.bits[:keep], samples.counts[:keep], samples.energies[:keep])
     return Population(
         samples=samples,
-        trace=tuple(trace),
+        trace=np.array(values),
         provenance={
             "solver": "vqe",
             "seed": settings.seed,
@@ -474,9 +466,9 @@ def vqe_statevector(
             "shots": shots,
             "reps": spec.reps,
             "entangler": spec.entangler,
-            "evaluations": state["evals"],
-            "objective_value": float(state["best_value"]),
-            "final_params": [float(v) for v in state["best_params"]],
+            "evaluations": len(values),
+            "objective_value": values[best],
+            "final_params": points[best].tolist(),
         },
     )
 

@@ -67,6 +67,10 @@ class TestParseSequence:
         assert seq.weight(3, 1) == 2.0
         with pytest.raises(ValueError):
             parse_sequence("HPH", weights={(1, 2): 1.0})  # bead 2 is P
+        # bonded pairs are never contacts, so a weight for one would do nothing
+        for key in ((1, 2), (2, 1)):
+            with pytest.raises(ValueError, match=r"\(\d,\d\) is a bonded pair"):
+                parse_sequence("HHPH", weights={key: 5.0})
 
 
 class TestHydrophobicPairs:

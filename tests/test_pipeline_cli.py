@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import inspect
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hpfold as hp
@@ -225,6 +227,62 @@ class TestPipeline:
         assert "params.json" in written
         params = json.loads(Path(written["params.json"]).read_text())
         assert len(params) == 6 * 3  # qubits=6, reps=1
+
+    @pytest.mark.parametrize("solver", ["anneal", "exhaustive", "vqe"])
+    def test_trace_csv_rows_are_the_population_traces(self, solver, tmp_path):
+        argv = ["--seq", "HPPH", "--solver", solver, "--draws", "2", "--sweeps", "30",
+                "--restarts", "3", "--max-evals", "60", "--seed", "5", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["draw", "iteration", "objective", "best_so_far"]
+        cfg = RunConfig(sequence="HPPH", solver=solver, draws=2, sweeps=30, restarts=3,
+                        max_evals=60, seed=5)
+        want = []
+        for out in solve_sequence(cfg).draws:
+            trace, provenance = out.population.trace, out.population.provenance
+            assert trace.dtype == np.float64 and trace.ndim == 1 and trace.size >= 1
+            best = np.minimum.accumulate(trace)
+            want += [[out.draw, i, trace[i], best[i]] for i in range(trace.size)]
+            if solver == "anneal":
+                assert provenance["sweeps_to_best"] == np.argmin(trace)
+                assert trace.size == cfg.sweeps
+            elif solver == "exhaustive":
+                assert trace.tolist() == [out.population.samples.energies[0]]
+            else:
+                assert provenance["evaluations"] == trace.size
+                assert provenance["objective_value"] == trace.min()
+        # floats are written by repr, so they read back exactly
+        assert [[int(d), int(i), float(v), float(b)] for d, i, v, b in rows] == want
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda doc: doc.pop("turns"), "missing key 'turns'"),
+            (lambda doc: doc.pop("provenance"), "missing key 'provenance'"),
+            (lambda doc: doc["provenance"].pop("allow_steric"), "missing key 'allow_steric'"),
+            (lambda doc: doc.update(feasible="no"), "feasible must be a JSON boolean"),
+            (lambda doc: doc.update(contacts=2.0), "contacts must be a JSON integer"),
+            (lambda doc: doc.update(sequence=list("HHPH")), "sequence must be a JSON string"),
+            (lambda doc: doc["provenance"].update(allow_steric=1),
+             "provenance.allow_steric must be a JSON boolean"),
+            (lambda doc: doc["turns"][0].insert(0, float(doc["turns"][0].pop(0))),
+             "turns entry must be a JSON integer"),
+            (lambda doc: doc.update(energy=float("nan")), "non-finite JSON constant NaN"),
+        ],
+        ids=["no-turns", "no-provenance", "no-allow-steric", "feasible-str", "contacts-float",
+             "sequence-list", "allow-steric-int", "turn-float", "energy-nan"],
+    )
+    def test_load_result_reads_strictly(self, tamper, message, tmp_path):
+        cfg = RunConfig(sequence="HHPH", solver="exhaustive", draws=1, out_dir=str(tmp_path),
+                        formats=("json",))
+        _, written = hp.run_pipeline(cfg)
+        assert load_result(written["result.json"])["contacts"] == 2
+        doc = json.loads(Path(written["result.json"]).read_text())
+        tamper(doc)
+        Path(written["result.json"]).write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_result(written["result.json"])
 
     def test_contacts_never_exceed_bound(self, tmp_path):
         for seed in range(3):
@@ -689,6 +747,7 @@ class TestCli:
             ["--lambda3-hint", "inf"],
             ["--weights-file", "1,4,2\n1,4,3"],  # one pair, two weights
             ["--weights-file", "1,4,2\n4,1,3"],  # the same pair written in both orders
+            ["--weights-file", "1,2,5", "--seq", "HHPH"],  # a bonded pair
         ],
     )
     def test_bad_config_exits_before_any_draw(self, flags, tmp_path, monkeypatch, capsys):
@@ -698,7 +757,7 @@ class TestCli:
         if flags[0] == "--weights-file":
             weights = tmp_path / "weights.csv"
             weights.write_text(flags[1] + "\n")
-            flags = [flags[0], str(weights)]
+            flags = [flags[0], str(weights), *flags[2:]]
 
         monkeypatch.setattr(hp.pipeline, "draw_axes", no_draws)
         argv = ["--seq", "HPPH", "--out-dir", str(tmp_path / "out")] + flags

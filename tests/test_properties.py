@@ -70,7 +70,7 @@ def test_exhaustive_matches_brute_force(q, keep, chunk):
         result = exhaustive(q, keep=keep)
     assert [e[0] for e in result.samples.entries] == [bits_of(s, n) for s in expected]
     assert [e[2] for e in result.samples.entries] == [energies[s] for s in expected]
-    assert result.trace == ((0, energies[expected[0]], energies[expected[0]]),)
+    assert result.trace.dtype == np.float64 and result.trace.tolist() == [energies[expected[0]]]
 
 
 # Decimal coefficients make many states tie in real arithmetic while their
@@ -114,8 +114,17 @@ def test_exhaustive_keeps_the_exact_ranking(q, chunk, data):
     assert result.samples.bits.shape == want_bits.shape
     assert result.samples.bits.tobytes() == want_bits.tobytes()
     assert result.samples.energies.tobytes() == energies[expected].tobytes()
-    assert result.trace == ((0, energies[expected[0]], energies[expected[0]]),)
+    assert result.trace.dtype == np.float64 and result.trace.tolist() == [energies[expected[0]]]
     assert result.provenance == {"solver": "exhaustive", "states_scanned": 1 << n, "kept": expected.size}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 63), data=st.data())
+def test_index_bits_reads_bit_i_of_each_state(n, data):
+    states = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+    bits = ising.index_bits(np.array(states, dtype=np.int64), n)
+    assert bits.dtype == np.uint8 and bits.shape == (len(states), n)
+    assert bits.tolist() == [list(bits_of(s, n)) for s in states]
 
 
 @pytest.mark.parametrize(
@@ -452,7 +461,7 @@ def test_every_population_is_best_first(q, keep, seed):
         assert 1 <= len(entries) <= keep
         assert entries == by_energy_then_bits(entries)
     for result in results[:2]:  # row 0 holds the lowest energy the run recorded
-        assert result.trace[-1][2] == tuple_entries(result.samples)[0][2]
+        assert result.trace.min() == tuple_entries(result.samples)[0][2]
     # a sampled population keeps the keep best states of the whole sample
     whole = vqe_statevector(energies, spec, settings_, shots=256, keep=256)
     assert tuple_entries(sampled.samples) == tuple_entries(whole.samples)[:keep]
@@ -553,8 +562,18 @@ def anneal_cases(draw, exact=False):
     return q, sched
 
 
+def assert_trace_is(got, rows):
+    """A solver's trace array against an oracle's (iteration, objective, best so
+    far) rows: the objective column bit for bit, and the best column as its running
+    minimum."""
+    _, objective, best = zip(*rows)
+    assert got.dtype == np.float64 and got.shape == (len(rows),)
+    assert got.tobytes() == np.array(objective).tobytes()
+    assert np.minimum.accumulate(got).tobytes() == np.array(best).tobytes()
+
+
 def assert_same_run(got, want):
-    assert repr(got.trace) == repr(want.trace)
+    assert_trace_is(got.trace, want.trace)
     for name in ("bits", "counts", "energies"):
         a, b = getattr(got.samples, name), getattr(want.samples, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -1041,7 +1060,7 @@ def test_vqe_is_unchanged_by_the_rotation_layer(spec, shots, extra_evals, seed):
     for name in ("bits", "counts", "energies"):
         a, b = getattr(got.samples, name), getattr(want.samples, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert repr(got.trace) == repr(want.trace)
+    assert got.trace.tobytes() == want.trace.tobytes()
     assert got.provenance == want.provenance
 
 
@@ -1142,7 +1161,7 @@ def test_vqe_is_unchanged_by_the_in_package_simplex(spec, shots, extra_evals, re
     for name in ("bits", "counts", "energies"):
         a, b = getattr(got.samples, name), getattr(want.samples, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert repr(got.trace) == repr(want.trace)
+    assert got.trace.tobytes() == want.trace.tobytes()
     assert got.provenance == want.provenance
 
 
@@ -1338,7 +1357,7 @@ def test_exact_vqe_is_unchanged_by_the_tail_sampler(spec, alpha, extra_evals, ke
     for name in ("bits", "counts", "energies"):
         a, b = getattr(got.samples, name), getattr(samples, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert repr(got.trace) == repr(tuple(trace))
+    assert_trace_is(got.trace, trace)
     assert got.provenance["evaluations"] == state["evals"]
     assert repr(got.provenance["objective_value"]) == repr(float(state["best_value"]))
     assert got.provenance["final_params"] == [float(v) for v in state["best_params"]]

@@ -67,15 +67,15 @@ class TestAnneal:
             q,
             AnnealSchedule(t_initial=2e-6, t_final=1e-6, sweeps=200, restarts=3, seed=3),
         )
-        best_so_far = [b for _, _, b in res.trace]
-        assert all(a >= b - 1e-9 for a, b in zip(best_so_far, best_so_far[1:]))
+        # no restart climbs, so neither does the lowest energy of a sweep
+        assert np.all(np.diff(res.trace) <= 1e-9)
 
     def test_determinism(self):
         _, q = folding_problem("HPHH", seed=4)
         sched = AnnealSchedule(t_initial=10.0, sweeps=100, restarts=4, seed=5)
         r1 = anneal(q, sched)
         r2 = anneal(q, sched)
-        assert r1.trace == r2.trace
+        assert r1.trace.tobytes() == r2.trace.tobytes()
         assert r1.samples.entries == r2.samples.entries
         assert np.array_equal(r1.first_seen, r2.first_seen)
         assert r1.provenance == r2.provenance

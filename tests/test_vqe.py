@@ -82,7 +82,7 @@ class TestVqeObjective:
             initial_params=tuple([0.0] * spec.n_params),
         )
         res = vqe_statevector(energies_of(poly, 4), spec, settings, alpha=0.05, shots=0)
-        first_objective = res.trace[0][1]
+        first_objective = res.trace[0]
         assert first_objective == pytest.approx(poly.evaluate((0, 0, 0, 0)), abs=1e-12)
 
     def test_alpha_one_exact_is_expectation(self):
@@ -97,7 +97,7 @@ class TestVqeObjective:
         res = vqe_statevector(energies, spec, settings, alpha=1.0, shots=0)
         probs = probabilities(simulate(spec, params))
         expected = float(np.dot(probs, energies))
-        assert res.trace[0][1] == pytest.approx(expected, abs=1e-10)
+        assert res.trace[0] == pytest.approx(expected, abs=1e-10)
 
     def test_constant_operator_flat_trace(self):
         res = vqe_statevector(
@@ -107,7 +107,7 @@ class TestVqeObjective:
             alpha=0.1,
             shots=0,
         )
-        assert all(v == pytest.approx(4.2) for _, v, _ in res.trace)
+        assert all(v == pytest.approx(4.2) for v in res.trace)
         assert res.samples.energies[0] == pytest.approx(4.2)
 
     def test_single_qubit_convergence(self):
@@ -128,7 +128,7 @@ class TestVqeObjective:
         settings = VqeSettings(max_evals=80, seed=9)
         r1 = vqe_statevector(energies, spec, settings, alpha=0.2, shots=64)
         r2 = vqe_statevector(energies, spec, settings, alpha=0.2, shots=64)
-        assert r1.trace == r2.trace
+        assert r1.trace.tobytes() == r2.trace.tobytes()
         assert r1.samples.entries == r2.samples.entries
 
     def test_operator_ansatz_size_mismatch(self):
