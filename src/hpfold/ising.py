@@ -99,15 +99,25 @@ def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``bits[first]`` are the distinct rows in ``np.unique(bits, axis=0)`` order,
     each taken at its first occurrence; ``inverse`` maps every row to its
-    distinct row. Rows are compared as packed big-endian bytes, which sort
-    like the bit rows they pack. Zero-width rows are all one row.
+    distinct row. Rows are packed into bits padded to whole 64-bit words,
+    read as big-endian integers, which sort like the bit rows they pack; one
+    stable ``lexsort`` over the words then keeps equal rows in row order.
+    Zero-width rows are all one row.
     """
-    packed = np.packbits(bits, axis=1)
-    if packed.shape[1] == 0:
-        return np.zeros(min(len(bits), 1), dtype=np.intp), np.zeros(len(bits), dtype=np.intp)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
+    k, n = bits.shape
+    if n == 0:
+        return np.zeros(min(k, 1), dtype=np.intp), np.zeros(k, dtype=np.intp)
+    packed = np.zeros((k, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(bits, axis=1)
+    words = packed.view(">u8")
+    order = np.lexsort(words.T[::-1])  # the last key sorts first
+    words = words[order]
+    new = np.empty(k, dtype=bool)
+    new[:1] = True
+    np.any(words[1:] != words[:-1], axis=1, out=new[1:])
+    inverse = np.empty(k, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 @dataclass(frozen=True, eq=False)

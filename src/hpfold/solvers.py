@@ -90,6 +90,19 @@ class Population:
     provenance: dict
     first_seen: Optional[np.ndarray] = None  # anneal only: the sweep each row first appeared
 
+    def __post_init__(self):
+        # read-only copies, as SampleSet keeps: the caller's arrays stay writable
+        trace = np.array(self.trace, dtype=float)
+        first_seen = None if self.first_seen is None else np.array(self.first_seen)
+        for name, value in (("trace", trace), ("first_seen", first_seen)):
+            if value is not None:
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # Rebuild on unpickling, so the arrays stay read-only.
+        return Population, (self.samples, self.trace, self.provenance, self.first_seen)
+
 
 @dataclass(frozen=True)
 class Selection:
@@ -137,13 +150,17 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> Populati
     the classes in a random order and proposes all members of a class in one
     step: members share no coupling, so their flip costs, read from the
     current spins, do not change while the others flip, and the step equals
-    flipping them one at a time. After a sweep in which at most a quarter of
-    the classes were accepted anywhere, the next sweep computes the flip
-    costs of all variables in one pass and jumps to the first remaining
-    class that some restart accepts.
+    flipping them one at a time. A step is four NumPy calls: the class's
+    flip-cost product, a multiply, a compare and a masked copy of the spins
+    negated at the start of the sweep, which a class still holds at its
+    step. From the first sweep in which at most a quarter of the classes
+    were accepted anywhere (temperatures only fall, so the switch is made
+    once), every later sweep computes the flip costs of all variables in
+    one pass and jumps to the first remaining class that some restart
+    accepts; the jump skips only classes in which nothing would flip.
 
     The sweep-end state of every restart is recorded and deduplicated on
-    packed-bit keys (``ising.unique_rows``). Energies and the trace come from
+    packed 64-bit keys (``ising.unique_rows``). Energies and the trace come from
     energies recomputed from the states, so they do not depend on the path
     taken. The ``keep`` lowest-energy distinct states, ties by bitstring, form
     the returned population; ``first_seen`` gives each row's first sweep, and
@@ -163,41 +180,48 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> Populati
     # Variables are rows, restarts columns: a class is a contiguous block.
     spin = np.ones((n + 1, r))
     spin[:n] -= 2 * rng.integers(0, 2, size=(r, n)).T[perm]
-    thresholds = np.empty((n, r))
-    # per class: views of its rows of spin and thresholds, which are updated
-    # in place, and its flip-cost product
-    blocks = [(spin[c], thresholds[c], cost[c].dot) for c in map(slice, starts, starts[1:])]
+    thresholds, flipped = np.empty((n, r)), np.empty((n, r))
+    # per class: views of its rows of spin, thresholds and flipped, and its flip-cost product
+    blocks = [
+        (spin[c], thresholds[c], flipped[c], cost[c].dot) for c in map(slice, starts, starts[1:])
+    ]
 
     sweeps = sched.sweeps
     snap_states = np.empty((sweeps + 1, n, r), dtype=np.uint8)  # row 0: the start states
     snap_states[0] = spin[:n] < 0
-    accepting = len(blocks)  # classes of the previous sweep that some restart accepted
+    quiet = False
     for sweep, t in enumerate(sched.temperatures(), 1):
         order = rng.permutation(len(blocks))
         # accept iff u < exp(-dE/T), i.e. dE < -T*log(u); 1-u is uniform too
         rng.random(out=thresholds)
         np.log(np.subtract(1.0, thresholds, out=thresholds), out=thresholds)
         thresholds *= -t
-        # In a busy sweep most classes accept somewhere, and a look-ahead per
-        # step costs more than the step. BENCH_12.json compares cut-offs for
-        # single-variable steps; BENCH_15.json times the look-ahead for classes.
-        quiet = 4 * accepting <= len(blocks)
-        step = 0
-        while step < len(blocks):
-            if quiet:  # jump to the next class that some restart accepts
+        # a sweep steps each class at most once, so a class's spins at its
+        # step are still those of the sweep's start
+        np.negative(spin[:n], out=flipped)
+        if quiet:  # jump from class to class that some restart accepts
+            step = 0
+            while step < len(blocks):
                 hits = (cost.dot(spin) * spin[:n] < thresholds).any(axis=1)
                 hits = np.logical_or.reduceat(hits, starts[:-1])[order[step:]]
                 skip = hits.argmax()
                 if not hits[skip]:
                     break
                 step += skip
-            spin_c, thresholds_c, dot_c = blocks[order[step]]
-            np.putmask(spin_c, dot_c(spin) * spin_c < thresholds_c, -spin_c)
-            step += 1
+                spin_c, thresholds_c, flipped_c, dot_c = blocks[order[step]]
+                np.putmask(spin_c, dot_c(spin) * spin_c < thresholds_c, flipped_c)
+                step += 1
+        else:
+            for spin_c, thresholds_c, flipped_c, dot_c in map(blocks.__getitem__, order.tolist()):
+                np.putmask(spin_c, dot_c(spin) * spin_c < thresholds_c, flipped_c)
         snap_states[sweep] = spin[:n] < 0
-        # each class was visited once, so it accepted somewhere iff a member changed
-        changed = (snap_states[sweep] != snap_states[sweep - 1]).any(axis=1)
-        accepting = np.count_nonzero(np.logical_or.reduceat(changed, starts[:-1]))
+        if not quiet:
+            # In a busy sweep most classes accept somewhere, and a look-ahead per
+            # step costs more than the step (BENCH_12.json, BENCH_15.json). Each
+            # class was visited once, so it accepted somewhere iff a member changed.
+            changed = (snap_states[sweep] != snap_states[sweep - 1]).any(axis=1)
+            accepting = np.count_nonzero(np.logical_or.reduceat(changed, starts[:-1]))
+            quiet = 4 * accepting <= len(blocks)
 
     # one row per sweep-end state, sweep-major, in the original labels; "clip"
     # (the indices are valid) lets take write into out without a temporary

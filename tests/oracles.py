@@ -7,8 +7,10 @@ penalty, which the quadratic reduction agrees with off the excluded states.
 ``spin_operator`` rewrites a quadratic polynomial over spins term by term
 (x = (1 - z) / 2), the walk that ``ising.qubo_to_ising``'s closed form must
 match. ``entangler_pairs`` lists the CNOTs of the gate-by-gate ansatz circuit.
+``reference_anneal`` is ``solvers.anneal`` without its shortcuts: every class
+is stepped in every sweep and states are deduplicated by ``np.unique``.
 
-Imports only the standard library and hpfold, so the numpy-only install can run them.
+Imports only the standard library, numpy and hpfold, so the numpy-only install can run them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
+import numpy as np
+
+from hpfold import solvers
 from hpfold.ansatz import AnsatzSpec
 from hpfold.encoder import (
     _AXIS_OFFSET,
@@ -26,6 +31,7 @@ from hpfold.encoder import (
     crossing_pairs,
     overlap_pairs,
 )
+from hpfold.ising import SampleSet
 from hpfold.model import AXES, HpSequence, hydrophobic_pairs
 from hpfold.polynomial import BinaryPolynomial
 
@@ -252,3 +258,56 @@ def ising_energy(op: IsingOperator, bits: Sequence[int]) -> float:
     for (a, b), coeff in op.j.items():
         total += coeff * z[a] * z[b]
     return total
+
+
+def reference_anneal(q: QuboProblem, sched: solvers.AnnealSchedule) -> solvers.Population:
+    """``solvers.anneal`` stepping every class in every sweep, with the same
+    arithmetic per step: it negates a class's spins at its own step, skips no
+    class, counts no acceptances and deduplicates the sweep-end states with
+    ``np.unique`` over packed-byte keys. The fast path must equal it byte for byte."""
+    n, r = q.n_vars, sched.restarts
+    const, lin, quad = q.to_dense()
+    perm, starts = solvers.coupling_classes(quad)
+    quad = quad[np.ix_(perm, perm)]
+    cost = np.hstack([-0.5 * quad, (lin[perm] + 0.5 * quad.sum(axis=1))[:, None]])
+    rng = np.random.default_rng(sched.seed)
+
+    spin = np.ones((n + 1, r))
+    spin[:n] -= 2 * rng.integers(0, 2, size=(r, n)).T[perm]
+    classes = list(map(slice, starts, starts[1:]))
+    states = np.empty((sched.sweeps, r, n), dtype=np.uint8)  # sweep-major, original labels
+    for sweep, t in enumerate(sched.temperatures()):
+        order = rng.permutation(len(classes))
+        thresholds = -t * np.log(np.subtract(1.0, rng.random((n, r))))
+        for c in order:
+            cls = classes[c]
+            spin_c = spin[cls]
+            np.putmask(spin_c, cost[cls].dot(spin) * spin_c < thresholds[cls], -spin_c)
+        states[sweep] = (spin[:n] < 0)[np.argsort(perm)].T
+
+    states = states.reshape(sched.sweeps * r, n)
+    packed = np.packbits(states, axis=1)
+    if n:
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:  # zero-width rows are all one row
+        first, inverse = np.zeros(1, dtype=np.intp), np.zeros(len(states), dtype=np.intp)
+    uniq = states[first]
+    uniq_energy = q.energies(uniq)
+    sweep_min = uniq_energy[inverse].reshape(sched.sweeps, r).min(axis=1)
+    order = np.argsort(uniq_energy, kind="stable")[: solvers.TOP_K]
+    counts = np.bincount(inverse, minlength=len(uniq))
+    return solvers.Population(
+        samples=SampleSet(uniq[order], counts[order], uniq_energy[order]),
+        trace=sweep_min,
+        provenance={
+            "solver": "anneal",
+            "seed": sched.seed,
+            "t_initial": sched.t_initial,
+            "t_final": sched.t_final,
+            "sweeps": sched.sweeps,
+            "restarts": sched.restarts,
+            "sweeps_to_best": int(np.argmin(sweep_min)),
+        },
+        first_seen=first[order] // r,
+    )

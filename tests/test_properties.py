@@ -386,16 +386,21 @@ def test_samples_json_matches_the_tuple_serializer(q, seed, shots):
             back.counts[0] = 1
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    width=st.sampled_from([0, 1, 7, 8, 9, 48, 156]),
-    pool=st.integers(1, 8),
-    rows=st.integers(0, 40),
+    # word edges of the packed 64-bit keys, and the widths of 4-, 10- and 28-bead layouts
+    width=st.sampled_from([0, 1, 7, 8, 9, 12, 48, 63, 64, 65, 128, 156]),
+    pool=st.sampled_from([1, 2, 8, 100, 5000]),
+    rows=st.one_of(st.sampled_from([0, 1]), st.integers(2, 40), st.just(4000)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_unique_rows_matches_numpy_row_unique(width, pool, rows, seed):
     rng = np.random.default_rng(seed)
     distinct = rng.integers(0, 2, size=(pool, width), dtype=np.uint8)
+    if width:  # pairs of rows that differ in one bit only
+        odd = np.arange(1, pool, 2)
+        distinct[odd] = distinct[odd - 1]
+        distinct[odd, rng.integers(0, width, size=odd.size)] ^= 1
     bits = distinct[rng.integers(0, pool, size=rows)]  # many duplicates
     want_rows, want_first, want_inverse = np.unique(
         bits, axis=0, return_index=True, return_inverse=True
@@ -467,7 +472,7 @@ def test_every_population_is_best_first(q, keep, seed):
     assert tuple_entries(sampled.samples) == tuple_entries(whole.samples)[:keep]
 
 
-def reference_anneal(q, sched):
+def field_anneal(q, sched):
     """The annealer as a plain loop over every (sweep, class) step, with
     row-wise ``np.unique`` dedup and a scan for the first sweep at the lowest
     energy: the oracle for ``solvers.anneal``."""
@@ -533,7 +538,7 @@ LADDERS = {"hot": (1e4, 1e3), "cold": (1e-2, 1e-4), "cross": (10.0, 1e-3)}
 
 
 @st.composite
-def anneal_cases(draw, exact=False):
+def anneal_cases(draw, exact=False, sweeps=st.integers(1, 60), restarts=st.integers(1, 4)):
     """A dense QUBO and a schedule; with ``exact``, small integers times a
     power of two, on which every sum of coefficients is exact."""
     n = draw(st.integers(0, 12))
@@ -555,8 +560,8 @@ def anneal_cases(draw, exact=False):
     sched = solvers.AnnealSchedule(
         t_initial=hot * scale,
         t_final=cold * scale,
-        sweeps=draw(st.integers(1, 60)),
-        restarts=draw(st.integers(1, 4)),
+        sweeps=draw(sweeps),
+        restarts=draw(restarts),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     return q, sched
@@ -585,7 +590,7 @@ def assert_same_run(got, want):
 @given(case=anneal_cases())
 def test_anneal_matches_the_plain_loop(case):
     q, sched = case
-    assert_same_run(anneal(q, sched), reference_anneal(q, sched))
+    assert_same_run(anneal(q, sched), field_anneal(q, sched))
 
 
 @pytest.mark.parametrize(
@@ -603,7 +608,44 @@ def test_anneal_matches_the_plain_loop_at_paper_scale(beads, sweeps):
     draw = encoder.draw_axes(np.random.default_rng(2024), layout)
     q = encoder.assemble(seq, layout, encoder.calibrate_penalties(seq), draw, rng_seed=2024)
     sched = default_schedule(q, sweeps=sweeps, seed=7)
-    assert_same_run(anneal(q, sched), reference_anneal(q, sched))
+    assert_same_run(anneal(q, sched), field_anneal(q, sched))
+
+
+SWEEPS, RESTARTS = st.sampled_from([1, 2, 50, 300]), st.sampled_from([1, 3, 20])
+TWENTY_EIGHT_BEADS = "HPHHPPHPHHPPPHHPHPPHHHPPHPHP"
+
+
+def hp_anneal_case(beads, seed, fixed, sweeps, restarts):
+    """A seeded axis draw of ``beads`` under its default schedule."""
+    seq = parse_sequence(beads)
+    layout = VariableLayout(len(seq), first_turn_fixed=fixed)
+    axes = encoder.draw_axes(np.random.default_rng(seed), layout)
+    q = encoder.assemble(seq, layout, encoder.calibrate_penalties(seq), axes, rng_seed=seed)
+    return q, default_schedule(q, sweeps=sweeps, restarts=restarts, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(
+    anneal_cases(sweeps=SWEEPS, restarts=RESTARTS),
+    st.builds(
+        hp_anneal_case,
+        st.sampled_from(["HPPH", "HPPHP", "HPPHPPHPHH", "HHHHHPHHHH", TWENTY_EIGHT_BEADS]),
+        st.integers(0, 2**32 - 1), st.booleans(), SWEEPS, RESTARTS,
+    ),
+))
+# paper-size draws at 300 sweeps: the last 130-150 sweeps look ahead
+@example(case=hp_anneal_case("HPPHPPHPHH", 2024, True, 300, 20))
+@example(case=hp_anneal_case(TWENTY_EIGHT_BEADS, 7, True, 300, 20))
+def test_anneal_matches_the_reference_annealer(case):
+    # the four-call step, the one-way switch to look-ahead sweeps and the
+    # packed-word dedup change no byte of any output
+    q, sched = case
+    got, want = anneal(q, sched), oracles.reference_anneal(q, sched)
+    pairs = [(getattr(got.samples, name), getattr(want.samples, name))
+             for name in ("bits", "counts", "energies")]
+    for a, b in pairs + [(got.trace, want.trace), (got.first_seen, want.first_seen)]:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.provenance == want.provenance
 
 
 def scalar_anneal(q, sched):

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -263,3 +264,26 @@ def test_population_size_below_one_is_refused(solver, keep):
     }
     with pytest.raises(ValueError, match=f"keep must be >= 1, got {keep}"):
         calls[solver]()
+
+
+@pytest.mark.parametrize("solver", ["exhaustive", "anneal", "vqe"])
+def test_population_arrays_are_read_only(solver):
+    _, q = folding_problem("HPPH", seed=3)
+    populations = {
+        "exhaustive": lambda: exhaustive(q),
+        "anneal": lambda: anneal(q, AnnealSchedule(t_initial=10.0, sweeps=5, restarts=2)),
+        "vqe": lambda: vqe_statevector(
+            basis_energies(q), AnsatzSpec(q.n_vars), VqeSettings(max_evals=60)
+        ),
+    }
+    pop = populations[solver]()
+    # a pickled copy, as worker processes return it, is the same and read-only too
+    for copy in (pop, pickle.loads(pickle.dumps(pop))):
+        assert copy.trace.tobytes() == pop.trace.tobytes()
+        arrays = [copy.trace, copy.samples.energies]
+        if solver == "anneal":
+            assert np.array_equal(copy.first_seen, pop.first_seen)
+            arrays.append(copy.first_seen)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
