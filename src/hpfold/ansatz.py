@@ -1,9 +1,10 @@
 """Exact statevector simulation of a hardware-efficient ansatz.
 
 The circuit alternates rotation layers (RY then RZ on every qubit) with a
-chain of CNOT entanglers: ``reps`` entangling blocks between ``reps + 1``
-layers. The final layer is RY only, because an RZ just before measurement
-changes no probability; that leaves n * (2 * reps + 1) parameters.
+linear chain of CNOTs (0, 1), (1, 2), ..., (n-2, n-1): ``reps`` entangling
+blocks between ``reps + 1`` layers. The final layer is RY only, because an
+RZ just before measurement changes no probability; that leaves
+n * (2 * reps + 1) parameters.
 
 Qubit i is bit i of the basis-state index (little-endian), matching the
 bitstring order used everywhere else in the package.
@@ -30,11 +31,10 @@ QUBIT_BUDGET = 22
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Shape of the variational circuit."""
+    """Shape of the variational circuit; every entangling block is the linear CNOT chain."""
 
     n_qubits: int
     reps: int = 1
-    entangler: str = "linear"
 
     def __post_init__(self):
         if self.n_qubits < 0:
@@ -45,8 +45,6 @@ class AnsatzSpec:
             )
         if self.reps not in (1, 2):
             raise ValueError(f"reps must be 1 or 2, got {self.reps}")
-        if self.entangler not in ("linear", "circular"):
-            raise ValueError(f"unknown entangler {self.entangler!r}")
 
     @property
     def n_params(self) -> int:
@@ -78,16 +76,12 @@ def _product(amplitudes: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return state
 
 
-def _entangle(state: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
-    """``state`` after the CNOT chain, as a new array."""
-    # The chain moves amplitude source[idx] to idx. The linear chain sets bit q
-    # to the XOR of bits 0..q; the circular chain's closing CNOT (n-1, 0) acts
-    # last, so it is undone first. source is rebuilt per layer and freed on
-    # return, so the rotation layer's scratch never coexists with it.
-    n = spec.n_qubits
+def _entangle(state: np.ndarray, n: int) -> np.ndarray:
+    """``state`` of ``n`` qubits after the CNOT chain, as a new array."""
+    # The chain moves amplitude source[idx] to idx; it sets bit q to the XOR
+    # of bits 0..q. source is rebuilt per layer and freed on return, so the
+    # rotation layer's scratch never coexists with it.
     source = np.arange(1 << n)
-    if spec.entangler == "circular" and n > 2:
-        source ^= (source >> (n - 1)) & 1
     source ^= (source << 1) & ((1 << n) - 1)
     return state[source]
 
@@ -109,7 +103,7 @@ def simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     ry, rz = angles[0::2], angles[1::2]
     state = _product(np.stack([np.cos(ry[0] / 2), np.sin(ry[0] / 2)], axis=1), rz[0])
     for layer in range(1, spec.reps + 1):
-        state = _entangle(state, spec)
+        state = _entangle(state, n)
         _ry_layer(state, ry[layer])
         if layer < spec.reps:
             state *= _product(np.ones((n, 2)), rz[layer])

@@ -33,8 +33,6 @@ import numpy as np
 from .model import AXES, FIXED_TURN, HpSequence, hydrophobic_pairs
 from .polynomial import PRUNE_THRESHOLD, BinaryPolynomial
 
-HALVES = ("plus", "minus")
-
 _AXIS_OFFSET = {"x": 0, "y": 1, "z": 2}
 # Default crossing reward weight that calibration starts from.
 LAMBDA3_HINT = 0.5
@@ -45,21 +43,17 @@ _HALF_OFFSET = {"plus": 0, "minus": 1}
 class VariableLayout:
     """Bijection between (turn, axis, half) and contiguous bit positions.
 
-    With ``first_turn_fixed`` the first turn is not encoded at all; its fixed
-    triple is substituted as constants wherever it appears, which removes six
-    variables per problem and one rotational degeneracy.
+    With ``first_turn_fixed`` the first turn is not encoded at all;
+    ``model.FIXED_TURN`` is substituted as constants wherever it appears,
+    which removes six variables per problem and one rotational degeneracy.
     """
 
     n_beads: int
     first_turn_fixed: bool = True
-    fixed_turn: tuple[int, int, int] = FIXED_TURN
 
     def __post_init__(self):
         if self.n_beads < 2:
             raise ValueError("need at least 2 beads")
-        if any(c not in (-1, 0, 1) for c in self.fixed_turn):
-            raise ValueError(f"fixed turn out of range: {self.fixed_turn}")
-        object.__setattr__(self, "fixed_turn", tuple(self.fixed_turn))
 
     @property
     def n_turns(self) -> int:
@@ -91,20 +85,9 @@ class VariableLayout:
             + _HALF_OFFSET[half]
         )
 
-    def describe(self, index: int) -> tuple[int, str, str]:
-        """Inverse of :meth:`index`."""
-        if not 0 <= index < self.n_vars:
-            raise ValueError(f"variable index {index} out of range")
-        turn = index // 6 + self.first_encoded_turn
-        axis = AXES[(index % 6) // 2]
-        half = HALVES[index % 2]
-        return turn, axis, half
-
     def variable_names(self) -> list[str]:
-        return [
-            "t{}_{}{}".format(t, ax, "p" if h == "plus" else "m")
-            for (t, ax, h) in map(self.describe, range(self.n_vars))
-        ]
+        """``t<turn>_<axis><p|m>`` for every variable, in index order."""
+        return [f"t{t}_{ax}{h}" for t in self.encoded_turns for ax in AXES for h in "pm"]
 
 
 def overlap_pairs(n_beads: int) -> list[tuple[int, int]]:
@@ -326,7 +309,7 @@ def assemble(
     steps[axis, turn_rows, plus] = 1.0
     steps[axis, turn_rows, plus + 1] = -1.0
     if layout.first_turn_fixed:
-        steps[:, 0, n] = layout.fixed_turn
+        steps[:, 0, n] = FIXED_TURN
 
     # one row of turn multiples per squared sum: H pairs, overlap pairs, crossing pairs
     h_pairs = hydrophobic_pairs(seq)
@@ -367,7 +350,7 @@ def assemble(
     return QuboProblem(const, lin, quad, layout, penalties, draw, rng_seed)
 
 
-def qubo_to_json(q: QuboProblem, sequence: str | None = None) -> str:
+def qubo_to_json(q: QuboProblem, sequence: str) -> str:
     """Serialize a problem with enough metadata to reload or feed other tools."""
     const, lin, quad = q.to_dense()
     doc = {
@@ -381,7 +364,7 @@ def qubo_to_json(q: QuboProblem, sequence: str | None = None) -> str:
             "sequence": sequence,
             "n_beads": q.layout.n_beads,
             "first_turn_fixed": q.layout.first_turn_fixed,
-            "fixed_turn": list(q.layout.fixed_turn),
+            "fixed_turn": list(FIXED_TURN),
             "variable_names": q.layout.variable_names(),
             "penalties": q.penalties.to_dict(),
             "axis_draw": q.axis_draw.to_dict(),
@@ -419,20 +402,27 @@ def qubo_from_json(text: str) -> QuboProblem:
     """Reload a problem written by ``qubo_to_json``; malformed entries raise ValueError.
 
     The constant, every coefficient and every penalty weight must be JSON
-    numbers (not strings or booleans) that fit a float; the seed, ``n_beads``
-    and the ``fixed_turn`` entries must be JSON integers and
-    ``first_turn_fixed`` a JSON boolean. Every key must be present, and the
-    penalties and the axis draw must name each weight and each pair once.
+    numbers (not strings or booleans) that fit a float; ``variables``, the
+    seed, ``n_beads`` and the ``fixed_turn`` entries must be JSON integers,
+    ``first_turn_fixed`` a JSON boolean and ``sequence`` a JSON string.
+    ``fixed_turn`` must be ``model.FIXED_TURN``, the only first turn the
+    package fixes. Every key must be present, and the penalties and the axis
+    draw must name each weight and each pair once.
     """
     doc = strict_json(text)
     meta = doc["metadata"]
+    fixed_turn = meta["fixed_turn"]
+    if type(fixed_turn) is list:
+        fixed_turn = [json_value(c, int, "fixed_turn entry") for c in fixed_turn]
+    if fixed_turn != list(FIXED_TURN):
+        raise ValueError(f"fixed_turn must be {list(FIXED_TURN)}, got {fixed_turn!r}")
+    json_value(meta["sequence"], str, "sequence")
     layout = VariableLayout(
         n_beads=json_value(meta["n_beads"], int, "n_beads"),
         first_turn_fixed=json_value(meta["first_turn_fixed"], bool, "first_turn_fixed"),
-        fixed_turn=tuple(json_value(c, int, "fixed_turn entry") for c in meta["fixed_turn"]),
     )
     n = layout.n_vars
-    if doc["variables"] != n:
+    if json_value(doc["variables"], int, "variables") != n:
         raise ValueError(f"{doc['variables']} variables declared, the layout has {n}")
     dense = np.zeros((n, n))  # linear coefficients on the diagonal
     seen: set[frozenset] = set()

@@ -177,9 +177,9 @@ class SampleSet:
 
 def check_cvar(alpha: float, shots: int = 0) -> None:
     """Refuse a CVaR tail fraction outside (0, 1] or a shot count that is not an integer >= 0."""
-    if not 0.0 < alpha <= 1.0:
+    if isinstance(alpha, bool) or not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if not isinstance(shots, (int, np.integer)) or shots < 0:
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 0:
         raise ValueError(f"shots must be an integer >= 0 (0 = exact), got {shots!r}")
 
 

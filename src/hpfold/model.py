@@ -28,8 +28,10 @@ Coord = tuple[int, int, int]
 Conformation = tuple[Coord, ...]
 
 AXES = ("x", "y", "z")
-# The first turn when it is fixed: the encoder's layout and the enumeration oracle share it.
+# The only first turn a layout fixes; the encoder, qubo.json and enumerate_optimal share it.
 FIXED_TURN: Turn = (1, 0, 0)
+# Longest chain that enumerate_optimal searches.
+ENUMERATION_BEADS = 7
 
 
 def lattice_moves(allow_steric: bool = True) -> tuple[Turn, ...]:
@@ -258,7 +260,7 @@ def decode_bitstring(bits: Sequence[int], layout) -> TurnVector:
     """Turn a flat bit assignment back into the full turn sequence.
 
     ``layout`` is a :class:`hpfold.encoder.VariableLayout`; when it fixes the
-    first turn, the fixed triple is prepended so the result always has N-1
+    first turn, ``FIXED_TURN`` is prepended so the result always has N-1
     turns. Each component is plus-bit minus minus-bit, so a (1, 1) pair
     decodes to 0 just like (0, 0).
     """
@@ -266,7 +268,7 @@ def decode_bitstring(bits: Sequence[int], layout) -> TurnVector:
         raise ValueError(f"expected {layout.n_vars} bits, got {len(bits)}")
     turns = []
     if layout.first_turn_fixed:
-        turns.append(layout.fixed_turn)
+        turns.append(FIXED_TURN)
     for t in layout.encoded_turns:
         triple = tuple(
             bits[layout.index(t, axis, "plus")] - bits[layout.index(t, axis, "minus")]
@@ -280,15 +282,15 @@ def encode_turns(turns: Sequence[Turn], layout) -> tuple[int, ...]:
     """Canonical bit encoding of a turn sequence (never uses the (1,1) pair).
 
     Inverse of :func:`decode_bitstring` on its canonical range. Raises if the
-    first turn disagrees with a layout-fixed first turn.
+    first turn of a layout that fixes it is not ``FIXED_TURN``.
     """
     if len(turns) != layout.n_beads - 1:
         raise ValueError(
             f"expected {layout.n_beads - 1} turns, got {len(turns)}"
         )
-    if layout.first_turn_fixed and tuple(turns[0]) != layout.fixed_turn:
+    if layout.first_turn_fixed and tuple(turns[0]) != FIXED_TURN:
         raise ValueError(
-            f"layout fixes the first turn to {layout.fixed_turn}, got {tuple(turns[0])}"
+            f"layout fixes the first turn to {FIXED_TURN}, got {tuple(turns[0])}"
         )
     bits = [0] * layout.n_vars
     for t in layout.encoded_turns:
@@ -318,29 +320,25 @@ def pair_exclusions(bits: Sequence[int], layout) -> list[tuple[int, str]]:
 def enumerate_optimal(
     seq: HpSequence,
     allow_steric: bool = True,
-    first_turn: Turn = FIXED_TURN,
-    max_beads: int = 7,
 ) -> tuple[int, Conformation]:
     """Brute-force maximum contact count over all feasible conformations.
 
-    Fixes the first turn (removing rotational degeneracy, and matching the
-    default encoder layout) and searches the remaining turns depth-first over
-    the move alphabet, pruning overlaps and bond crossings as they appear.
+    Fixes the first turn to ``FIXED_TURN`` (removing rotational degeneracy, and
+    matching the default encoder layout) and searches the remaining turns
+    depth-first over the move alphabet, pruning overlaps and bond crossings as
+    they appear. Chains longer than ``ENUMERATION_BEADS`` are refused.
     Returns the best contact count and one witness conformation.
     """
     n = len(seq)
-    if n > max_beads:
+    if n > ENUMERATION_BEADS:
         raise ValueError(
-            f"enumeration over {n} beads exceeds the budget of {max_beads}"
+            f"enumeration over {n} beads exceeds the budget of {ENUMERATION_BEADS}"
         )
     moves = lattice_moves(allow_steric)
-    if not allow_steric and all(c != 0 for c in first_turn):
-        raise ValueError("fixed first turn is a steric move but steric is disallowed")
 
-    start = first_turn
-    coords = [(0, 0, 0), start]
-    bond_sums = [start]  # sum of bond endpoints, always 2*midpoint
-    occupied = {(0, 0, 0): 1, start: 1}
+    coords = [(0, 0, 0), FIXED_TURN]
+    bond_sums = [FIXED_TURN]  # sum of bond endpoints, always 2*midpoint
+    occupied = {(0, 0, 0): 1, FIXED_TURN: 1}
 
     best_count = -1
     best_conf: Conformation = ()

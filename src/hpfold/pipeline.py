@@ -91,9 +91,11 @@ class RunConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; choose from {SOLVERS}")
-        for name in ("draws", "restarts", "sweeps", "top_k", "max_evals", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        integers = ("draws", "restarts", "sweeps", "reps", "top_k", "max_evals", "workers", "seed")
+        for name in integers:  # a boolean is not a count
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         check_cvar(self.alpha, self.shots)
         if self.reps not in (1, 2):
             raise ValueError(f"reps must be 1 or 2, got {self.reps}")

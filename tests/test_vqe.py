@@ -30,8 +30,6 @@ class TestAnsatz:
             AnsatzSpec(n_qubits=23)  # over the statevector budget
         with pytest.raises(ValueError):
             AnsatzSpec(n_qubits=2, reps=3)
-        with pytest.raises(ValueError):
-            AnsatzSpec(n_qubits=2, entangler="star")
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(30)
@@ -56,12 +54,6 @@ class TestAnsatz:
 
     def test_entangler_pairs(self):
         assert entangler_pairs(AnsatzSpec(n_qubits=4, reps=1)) == [(0, 1), (1, 2), (2, 3)]
-        assert entangler_pairs(AnsatzSpec(n_qubits=4, reps=1, entangler="circular")) == [
-            (0, 1),
-            (1, 2),
-            (2, 3),
-            (3, 0),
-        ]
 
     def test_param_shape_checked(self):
         spec = AnsatzSpec(n_qubits=2, reps=1)
@@ -143,9 +135,10 @@ class TestVqeObjective:
 
     @pytest.mark.parametrize(
         "alpha, shots",
-        [(2.0, 0), (0.0, 0), (2.0, 100), (0.0, 100), (0.05, -5), (0.05, 1.5)],
+        [(2.0, 0), (0.0, 0), (2.0, 100), (0.0, 100), (0.05, -5), (0.05, 1.5), (True, 0),
+         (0.05, True)],
         ids=["alpha-2-exact", "alpha-0-exact", "alpha-2-shots", "alpha-0-shots",
-             "negative-shots", "fractional-shots"],
+             "negative-shots", "fractional-shots", "boolean-alpha", "boolean-shots"],
     )
     def test_bad_alpha_or_shots_refused_before_any_evaluation(self, alpha, shots, monkeypatch):
         def no_evaluation(*args):
