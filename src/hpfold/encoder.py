@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional
@@ -126,14 +127,17 @@ class AxisDraw:
     @classmethod
     def from_dict(cls, doc: dict, n_beads: int) -> "AxisDraw":
         """Load ``to_dict`` output that lists every pair of an ``n_beads`` chain once."""
+        doc = json_value(doc, dict, "axis_draw")
+        tables = {}
         for name, layout_pairs in (("overlap", overlap_pairs), ("crossing", crossing_pairs)):
-            pairs = layout_pairs(n_beads)
-            if sorted((i, j) for i, j, _ in doc[name] if type(i) is type(j) is int) != pairs:
+            entries = json_value(doc[name], list, f"axis_draw {name}")
+            tables[name] = {
+                (e[0], e[1]): e[2] for e in entries
+                if type(e) is list and len(e) == 3 and type(e[0]) is type(e[1]) is int
+            }
+            if len(tables[name]) != len(entries) or sorted(tables[name]) != layout_pairs(n_beads):
                 raise ValueError(f"axis_draw must list each {name} pair once, in integers")
-        return cls(
-            overlap={(i, j): ax for i, j, ax in doc["overlap"]},
-            crossing={(r, k): ax for r, k, ax in doc["crossing"]},
-        )
+        return cls(**tables)
 
 
 def draw_axes(rng: np.random.Generator, layout: VariableLayout) -> AxisDraw:
@@ -168,6 +172,16 @@ class PenaltyConfig:
         return asdict(self)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float if it is a real number other than a boolean; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
 def calibrate_penalties(
     seq: HpSequence,
     lambda3_hint: float = LAMBDA3_HINT,
@@ -179,13 +193,15 @@ def calibrate_penalties(
     lambda2 = 1, takes lambda3 from the hint, and solves
     lambda0 * n0 = lambda2 * n2 + lambda3 * n3 for lambda0. The two logical
     penalties default to an order of magnitude above everything else. Any
-    value can be overridden explicitly.
+    value can be overridden explicitly; a ``None`` override leaves it as
+    calibrated. The hint and every override must be real numbers, not
+    booleans or strings.
     """
     n0 = len(hydrophobic_pairs(seq))
     n2, n3 = len(overlap_pairs(len(seq))), len(crossing_pairs(len(seq)))
 
     lambda2 = 1.0
-    lambda3 = float(lambda3_hint)
+    lambda3 = _real(lambda3_hint, "lambda3_hint")
     if not (math.isfinite(lambda3) and lambda3 >= 0):
         raise ValueError(f"lambda3_hint must be finite and non-negative, got {lambda3_hint}")
     if n0 > 0:
@@ -210,7 +226,7 @@ def calibrate_penalties(
             if key not in values:
                 raise ValueError(f"unknown penalty override {key!r}")
             if val is not None:
-                values[key] = float(val)
+                values[key] = _real(val, key)
     return PenaltyConfig(**values)
 
 
@@ -375,13 +391,16 @@ def qubo_to_json(q: QuboProblem, sequence: str) -> str:
 
 
 def json_value(value, kind: type, what: str):
-    """``value`` as ``kind`` (bool, int, float or str) if JSON loaded it as that kind, a
-    float also from a JSON integer; else ValueError. So a boolean is never a number."""
-    if type(value) is not kind and (kind, type(value)) != (float, int):
-        name = {bool: "boolean", int: "integer", float: "number", str: "string"}[kind]
+    """``value`` if JSON loaded it as ``kind`` (bool, int, float, str, list or dict), as a
+    float for ``float`` (a JSON integer too); else ValueError. So a boolean is never a number."""
+    if type(value) is not kind and (kind, type(value)) not in ((float, int), (dict, _Strict)):
+        name = {bool: "boolean", int: "integer", float: "number", str: "string",
+                list: "array", dict: "object"}[kind]
         raise ValueError(f"{what} must be a JSON {name}, got {value!r}")
+    if kind is not float:
+        return value
     try:
-        return kind(value)
+        return float(value)
     except OverflowError:
         raise ValueError(f"{what} is too large for a float") from None
 
@@ -409,8 +428,8 @@ def qubo_from_json(text: str) -> QuboProblem:
     package fixes. Every key must be present, and the penalties and the axis
     draw must name each weight and each pair once.
     """
-    doc = strict_json(text)
-    meta = doc["metadata"]
+    doc = json_value(strict_json(text), dict, "qubo document")
+    meta = json_value(doc["metadata"], dict, "metadata")
     fixed_turn = meta["fixed_turn"]
     if type(fixed_turn) is list:
         fixed_turn = [json_value(c, int, "fixed_turn entry") for c in fixed_turn]
@@ -427,21 +446,20 @@ def qubo_from_json(text: str) -> QuboProblem:
     dense = np.zeros((n, n))  # linear coefficients on the diagonal
     seen: set[frozenset] = set()
     for name, arity in (("linear", 1), ("quadratic", 2)):
-        for entry in doc[name]:
-            *idx, coeff = entry
-            key = frozenset(idx)
-            if len(idx) != arity or len(key) != arity or key in seen or not all(
-                type(i) is int and 0 <= i < n for i in idx
-            ):
+        for entry in json_value(doc[name], list, name):
+            idx = json_value(entry, list, f"{name} entry")[:-1]
+            key = frozenset(i for i in idx if type(i) is int and 0 <= i < n)
+            if len(idx) != arity or len(key) != arity or key in seen:
                 raise ValueError(f"malformed or repeated {name} entry {entry}")
             seen.add(key)
-            coeff = json_value(coeff, float, f"{name} coefficient")
+            coeff = json_value(entry[-1], float, f"{name} coefficient")
             dense[idx[0], idx[-1]] = dense[idx[-1], idx[0]] = coeff
     lin = np.diag(dense)
     weights = [f.name for f in fields(PenaltyConfig)]
-    for key in sorted(set(meta["penalties"]) - set(weights)):
+    stored = json_value(meta["penalties"], dict, "penalties")
+    for key in sorted(set(stored) - set(weights)):
         raise ValueError(f"unknown penalty key {key!r}")
-    penalties = PenaltyConfig(**{k: json_value(meta["penalties"][k], float, k) for k in weights})
+    penalties = PenaltyConfig(**{k: json_value(stored[k], float, k) for k in weights})
     return QuboProblem(
         json_value(doc["constant"], float, "constant"), lin, dense - np.diag(lin), layout,
         penalties, AxisDraw.from_dict(meta["axis_draw"], layout.n_beads),

@@ -489,7 +489,7 @@ def vqe_statevector(
             "alpha": alpha,
             "shots": shots,
             "reps": spec.reps,
-            "entangler": "linear",  # the CNOT chain of ansatz._entangle
+            "entangler": "linear",  # the CNOT chain of ansatz._chain_source
             "evaluations": len(values),
             "objective_value": values[best],
             "final_params": points[best].tolist(),

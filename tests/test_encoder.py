@@ -457,6 +457,20 @@ class TestQuboJson:
             (lambda doc: doc["metadata"].pop("axis_draw"), "missing key 'axis_draw'"),
             (lambda doc: doc.pop("constant"), "missing key 'constant'"),
             (lambda doc: doc.pop("metadata"), "missing key 'metadata'"),
+            (lambda doc: doc.update(linear=5), "linear must be a JSON array, got 5"),
+            (lambda doc: doc.update(linear=[5]), "linear entry must be a JSON array, got 5"),
+            (lambda doc: doc.update(quadratic={}), "quadratic must be a JSON array"),
+            (lambda doc: doc["quadratic"].append("0 1 1.0"), "quadratic entry must be a JSON array"),
+            (lambda doc: doc["quadratic"].append([]), "malformed or repeated quadratic entry"),
+            (lambda doc: doc["quadratic"].append([[0], 1, 1.0]),
+             "malformed or repeated quadratic entry"),
+            (lambda doc: doc["metadata"].update(axis_draw=3), "axis_draw must be a JSON object"),
+            (lambda doc: doc["metadata"]["axis_draw"].update(overlap=3),
+             "axis_draw overlap must be a JSON array"),
+            (lambda doc: doc["metadata"]["axis_draw"].update(crossing={}),
+             "axis_draw crossing must be a JSON array"),
+            (lambda doc: doc["metadata"].update(penalties=[1.0]), "penalties must be a JSON object"),
+            (lambda doc: doc.update(metadata=[]), "metadata must be a JSON object"),
         ],
         ids=["diagonal-quadratic", "negative-index", "duplicate", "variable-count", "out-of-range",
              "nan-constant", "nan-linear", "infinity-quadratic", "string-constant",
@@ -466,7 +480,10 @@ class TestQuboJson:
              "integer-first-turn-fixed", "float-n-beads",
              "huge-linear", "huge-constant", "huge-lambda1", "unknown-lambda9",
              "missing-lambda0", "missing-seed", "missing-axis-draw", "missing-constant",
-             "missing-metadata"],
+             "missing-metadata", "scalar-linear", "scalar-linear-entry", "object-quadratic",
+             "string-quadratic-entry", "empty-quadratic-entry", "nested-quadratic-index",
+             "scalar-axis-draw", "scalar-overlap", "object-crossing", "array-penalties",
+             "array-metadata"],
     )
     def test_malformed_entries_rejected(self, edit, message):
         seq = parse_sequence("HPPH")
@@ -491,9 +508,11 @@ class TestQuboJson:
             (lambda draw: draw["crossing"].clear(), "each crossing pair once"),
             (lambda draw: draw["crossing"].append(draw["crossing"][0]),
              "each crossing pair once"),
+            (lambda draw: draw["overlap"].append(5), "each overlap pair once"),
+            (lambda draw: draw["overlap"][0].pop(), "each overlap pair once"),
         ],
         ids=["missing-overlap", "repeated-overlap", "adjacent-overlap", "float-overlap-index",
-             "no-crossing", "repeated-crossing"],
+             "no-crossing", "repeated-crossing", "scalar-overlap-entry", "short-overlap-entry"],
     )
     def test_axis_draw_must_list_every_pair_once(self, edit, message):
         seq = parse_sequence("HPPH")

@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hpfold as hp
-from hpfold import cli, model
+from hpfold import cli, model, pipeline
 from hpfold.cli import main
 from hpfold.pipeline import RunConfig, load_result, result_document, solve_sequence
 
@@ -57,6 +58,30 @@ class TestRunConfig:
         # a boolean is not a count, and no setting reaches a solver as a float
         with pytest.raises(ValueError, match=f"^{field} must be"):
             RunConfig(sequence="HPH", solver="vqe", **{field: value})
+
+    @pytest.mark.parametrize(
+        "setting, value",
+        [("lambda0", True), ("lambda0", "2"), ("lambda4", False), ("lambda1", 10**400),
+         ("lambda3_hint", True), ("lambda3_hint", "0.5")],
+    )
+    def test_penalty_settings_are_real_numbers(self, setting, value):
+        # the run stops before its first draw is assembled
+        if setting == "lambda3_hint":
+            cfg = RunConfig(sequence="HPPH", draws=1, lambda3_hint=value)
+        else:
+            cfg = RunConfig(sequence="HPPH", draws=1, lambda_overrides={setting: value})
+        with mock.patch.object(pipeline, "assemble") as assemble:
+            with pytest.raises(ValueError, match=f"^{setting} (must be a real number|is too large)"):
+                solve_sequence(cfg)
+        assemble.assert_not_called()
+
+    def test_a_none_override_is_no_override(self):
+        seq = hp.parse_sequence("HPPH")
+        calibrated = hp.calibrate_penalties(seq)
+        assert hp.calibrate_penalties(seq, overrides={"lambda0": None}) == calibrated
+        assert hp.calibrate_penalties(
+            seq, np.float64(calibrated.lambda3), {"lambda2": np.int64(1)}
+        ) == calibrated
 
     def test_library_defaults_are_run_config_defaults(self):
         run = {f.name: f.default for f in dataclasses.fields(RunConfig)}

@@ -1079,6 +1079,8 @@ def test_simulate_matches_the_kron_product_state(spec, data):
     extra_evals=st.integers(0, 30),
     seed=st.integers(0, 2**32 - 1),
 )
+# the size and shot count of the exact-small benchmark's VQE solves
+@example(spec=AnsatzSpec(n_qubits=12, reps=1), shots=4000, extra_evals=10, seed=501)
 def test_vqe_is_unchanged_by_the_rotation_layer(spec, shots, extra_evals, seed):
     # small-integer energies, so that the CVaR and the best sample meet ties
     energies = np.random.default_rng(seed).integers(-4, 5, 1 << spec.n_qubits).astype(float)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hpfold as hp
+from hpfold import ansatz
 from hpfold.ansatz import AnsatzSpec, probabilities, random_initial_params, simulate
 from hpfold.ising import basis_energies
 from hpfold.polynomial import BinaryPolynomial
@@ -54,6 +55,17 @@ class TestAnsatz:
 
     def test_entangler_pairs(self):
         assert entangler_pairs(AnsatzSpec(n_qubits=4, reps=1)) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_chain_permutation_is_cached_read_only(self, n):
+        i = np.arange(1 << n)
+        want = i ^ ((i << 1) & ((1 << n) - 1))
+        source = ansatz._chain_source(n)
+        assert source.dtype == np.intp and np.array_equal(source, want)
+        assert not source.flags.writeable
+        spec = AnsatzSpec(n_qubits=n, reps=2)
+        simulate(spec, np.random.default_rng(n).uniform(-np.pi, np.pi, spec.n_params))
+        assert ansatz._chain_source(n) is source and np.array_equal(source, want)
 
     def test_param_shape_checked(self):
         spec = AnsatzSpec(n_qubits=2, reps=1)
