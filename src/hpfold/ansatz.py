@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ising import check_count
+
 # Largest qubit count the statevector simulation accepts.
 QUBIT_BUDGET = 22
 
@@ -40,8 +42,8 @@ class AnsatzSpec:
     reps: int = 1
 
     def __post_init__(self):
-        if self.n_qubits < 0:
-            raise ValueError("qubit count must be non-negative")
+        check_count(self.n_qubits, "n_qubits", 0)
+        check_count(self.reps, "reps")
         if self.n_qubits > QUBIT_BUDGET:
             raise ValueError(
                 f"{self.n_qubits} qubits exceed the statevector budget of {QUBIT_BUDGET}"

@@ -68,10 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "allow_steric"))
     for i in range(5):
         parser.add_argument(f"--lambda{i}", type=float,
-                            help=f"override penalty weight {i}")
-    parser.add_argument("--lambda3-hint", type=float,
-                        help=_help("crossing reward weight used by calibration",
-                                   "lambda3_hint"))
+                            help=f"penalty weight {i}, calibrated from the set ones if unset")
     parser.add_argument("--weights-file",
                         help="CSV of j,k,weight rows overriding H-pair interaction strengths")
     parser.add_argument("--seed", type=int,

@@ -35,8 +35,6 @@ from .model import AXES, FIXED_TURN, HpSequence, hydrophobic_pairs
 from .polynomial import PRUNE_THRESHOLD, BinaryPolynomial
 
 _AXIS_OFFSET = {"x": 0, "y": 1, "z": 2}
-# Default crossing reward weight that calibration starts from.
-LAMBDA3_HINT = 0.5
 _HALF_OFFSET = {"plus": 0, "minus": 1}
 
 
@@ -165,69 +163,66 @@ class PenaltyConfig:
 
     def __post_init__(self):
         for name, value in self.to_dict().items():
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            _weight(value, name)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _real(value, what: str) -> float:
-    """``value`` as a float if it is a real number other than a boolean; else ValueError."""
+_PENALTY_NAMES = tuple(f.name for f in fields(PenaltyConfig))
+
+
+def _weight(value, what: str) -> float:
+    """``value`` as a float if it is a finite, non-negative real number other than a
+    boolean; else ValueError naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     try:
-        return float(value)
+        weight = float(value)
     except OverflowError:
         raise ValueError(f"{what} is too large for a float") from None
+    if not (math.isfinite(weight) and weight >= 0):
+        raise ValueError(f"{what} must be finite and non-negative, got {value}")
+    return weight
 
 
 def calibrate_penalties(
-    seq: HpSequence,
-    lambda3_hint: float = LAMBDA3_HINT,
-    overrides: Optional[Mapping[str, float]] = None,
+    seq: HpSequence, *, overrides: Optional[Mapping[str, Optional[float]]] = None
 ) -> PenaltyConfig:
-    """Balance the objective weight against the two separation rewards.
+    """The five weights: each one that ``overrides`` sets, the rest calibrated from those.
 
-    With n0 objective terms, n2 overlap terms and n3 crossing terms, fixes
-    lambda2 = 1, takes lambda3 from the hint, and solves
-    lambda0 * n0 = lambda2 * n2 + lambda3 * n3 for lambda0. The two logical
-    penalties default to an order of magnitude above everything else. Any
-    value can be overridden explicitly; a ``None`` override leaves it as
-    calibrated. The hint and every override must be real numbers, not
-    booleans or strings.
+    With n0 objective terms, n2 overlap terms and n3 crossing terms, an unset
+    lambda2 is 1 and an unset lambda3 0.5, an unset lambda0 solves
+    lambda0 * n0 = lambda2 * n2 + lambda3 * n3 (1 when n0 = 0, with a
+    warning), and an unset lambda1 or lambda4, the two logical penalties, is
+    10 * max(lambda0, lambda2, lambda3), so that they dominate everything
+    else. A ``None`` value sets nothing. A set weight must be a finite,
+    non-negative real number, not a boolean or a string; an error names it.
     """
-    n0 = len(hydrophobic_pairs(seq))
-    n2, n3 = len(overlap_pairs(len(seq))), len(crossing_pairs(len(seq)))
-
-    lambda2 = 1.0
-    lambda3 = _real(lambda3_hint, "lambda3_hint")
-    if not (math.isfinite(lambda3) and lambda3 >= 0):
-        raise ValueError(f"lambda3_hint must be finite and non-negative, got {lambda3_hint}")
-    if n0 > 0:
-        lambda0 = (lambda2 * n2 + lambda3 * n3) / n0
-    else:
-        warnings.warn(
-            "sequence has no non-bonded H pairs; objective weight defaults to 1",
-            stacklevel=2,
-        )
-        lambda0 = 1.0
-    lambda1 = lambda4 = 10.0 * max(lambda0, lambda2, lambda3)
-
-    values = {
-        "lambda0": lambda0,
-        "lambda1": lambda1,
-        "lambda2": lambda2,
-        "lambda3": lambda3,
-        "lambda4": lambda4,
-    }
-    if overrides:
-        for key, val in overrides.items():
-            if key not in values:
-                raise ValueError(f"unknown penalty override {key!r}")
-            if val is not None:
-                values[key] = _real(val, key)
-    return PenaltyConfig(**values)
+    weights = {}
+    for key, value in (overrides or {}).items():
+        if key not in _PENALTY_NAMES:
+            raise ValueError(f"unknown penalty override {key!r}")
+        if value is not None:
+            weights[key] = _weight(value, key)
+    given = list(weights)
+    weights.setdefault("lambda2", 1.0)
+    weights.setdefault("lambda3", 0.5)
+    if "lambda0" not in weights:
+        n0 = len(hydrophobic_pairs(seq))
+        n2, n3 = len(overlap_pairs(len(seq))), len(crossing_pairs(len(seq)))
+        if n0 == 0:
+            warnings.warn(
+                "sequence has no non-bonded H pairs; objective weight defaults to 1",
+                stacklevel=2,
+            )
+        weights["lambda0"] = (weights["lambda2"] * n2 + weights["lambda3"] * n3) / n0 if n0 else 1.0
+    logical = 10.0 * max(weights["lambda0"], weights["lambda2"], weights["lambda3"])
+    weights.setdefault("lambda1", logical)
+    weights.setdefault("lambda4", logical)
+    if not all(map(math.isfinite, weights.values())):
+        raise ValueError(f"the weights calibrated from {', '.join(given)} overflow a float")
+    return PenaltyConfig(**weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,11 +450,10 @@ def qubo_from_json(text: str) -> QuboProblem:
             coeff = json_value(entry[-1], float, f"{name} coefficient")
             dense[idx[0], idx[-1]] = dense[idx[-1], idx[0]] = coeff
     lin = np.diag(dense)
-    weights = [f.name for f in fields(PenaltyConfig)]
     stored = json_value(meta["penalties"], dict, "penalties")
-    for key in sorted(set(stored) - set(weights)):
+    for key in sorted(set(stored) - set(_PENALTY_NAMES)):
         raise ValueError(f"unknown penalty key {key!r}")
-    penalties = PenaltyConfig(**{k: json_value(stored[k], float, k) for k in weights})
+    penalties = PenaltyConfig(**{k: json_value(stored[k], float, k) for k in _PENALTY_NAMES})
     return QuboProblem(
         json_value(doc["constant"], float, "constant"), lin, dense - np.diag(lin), layout,
         penalties, AxisDraw.from_dict(meta["axis_draw"], layout.n_beads),

@@ -175,12 +175,17 @@ class SampleSet:
         )
 
 
+def check_count(value, what: str, least: int = 1) -> None:
+    """Refuse a count that is not an integer >= ``least``; a boolean is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def check_cvar(alpha: float, shots: int = 0) -> None:
-    """Refuse a CVaR tail fraction outside (0, 1] or a shot count that is not an integer >= 0."""
+    """Refuse a CVaR tail fraction outside (0, 1] or shots (0 = exact) not an integer >= 0."""
     if isinstance(alpha, bool) or not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 0:
-        raise ValueError(f"shots must be an integer >= 0 (0 = exact), got {shots!r}")
+    check_count(shots, "shots", 0)
 
 
 def cvar(energies, alpha: float, weights=None) -> float:

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import model
 from .encoder import (
-    LAMBDA3_HINT,
     PenaltyConfig,
     QuboProblem,
     VariableLayout,
@@ -35,7 +34,7 @@ from .encoder import (
     qubo_to_json,
     strict_json,
 )
-from .ising import basis_energies, check_cvar, check_enumerable
+from .ising import basis_energies, check_count, check_cvar, check_enumerable
 from .solvers import (
     CVAR_ALPHA,
     TOP_K,
@@ -78,7 +77,6 @@ class RunConfig:
     fix_first_turn: bool = VariableLayout.first_turn_fixed
     allow_steric: bool = True
     lambda_overrides: Optional[dict[str, float]] = None
-    lambda3_hint: float = LAMBDA3_HINT
     weights: Optional[dict[tuple[int, int], float]] = None
     seed: int = 0
     out_dir: str = "hpfold_out"
@@ -91,11 +89,9 @@ class RunConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; choose from {SOLVERS}")
-        integers = ("draws", "restarts", "sweeps", "reps", "top_k", "max_evals", "workers", "seed")
-        for name in integers:  # a boolean is not a count
-            value, least = getattr(self, name), 0 if name == "seed" else 1
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("draws", "restarts", "sweeps", "reps", "top_k", "max_evals", "workers"):
+            check_count(getattr(self, name), name)
+        check_count(self.seed, "seed", 0)
         check_cvar(self.alpha, self.shots)
         if self.reps not in (1, 2):
             raise ValueError(f"reps must be 1 or 2, got {self.reps}")
@@ -174,7 +170,7 @@ def solve_sequence(cfg: RunConfig) -> PipelineResult:
         spec = AnsatzSpec(n_qubits=layout.n_vars, reps=cfg.reps)
         settings = VqeSettings(max_evals=cfg.max_evals, initial_params=cfg.resume_params)
         check_vqe_settings(spec, settings)
-    penalties = calibrate_penalties(seq, cfg.lambda3_hint, cfg.lambda_overrides)
+    penalties = calibrate_penalties(seq, overrides=cfg.lambda_overrides)
 
     stages = partial(_solve_draws, seq, layout, penalties, cfg, spec, settings)
     workers = min(cfg.workers, cfg.draws)

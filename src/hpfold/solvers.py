@@ -49,8 +49,8 @@ class AnnealSchedule:
     def __post_init__(self):
         if not self.t_initial > self.t_final > 0:
             raise ValueError("need t_initial > t_final > 0")
-        if self.sweeps < 1 or self.restarts < 1:
-            raise ValueError("sweeps and restarts must be >= 1")
+        ising.check_count(self.sweeps, "sweeps")
+        ising.check_count(self.restarts, "restarts")
 
     def temperatures(self) -> np.ndarray:
         if self.sweeps == 1:
@@ -118,11 +118,6 @@ class Selection:
     provenance: dict
 
 
-def _check_keep(keep: int) -> None:
-    if keep < 1:
-        raise ValueError(f"keep must be >= 1, got {keep}")
-
-
 def coupling_classes(quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Colour the coupling graph ``quad != 0`` greedily in index order.
 
@@ -166,7 +161,7 @@ def anneal(q: QuboProblem, sched: AnnealSchedule, keep: int = TOP_K) -> Populati
     the returned population; ``first_seen`` gives each row's first sweep, and
     ``sweeps_to_best`` the first sweep that reached the lowest energy.
     """
-    _check_keep(keep)
+    ising.check_count(keep, "keep")
     n = q.n_vars
     const, lin, quad = q.to_dense()
     perm, starts = coupling_classes(quad)
@@ -262,7 +257,7 @@ def exhaustive(q: QuboProblem, keep: int = TOP_K) -> Population:
     """
     n = q.n_vars
     ising.check_enumerable(n)
-    _check_keep(keep)
+    ising.check_count(keep, "keep")
     # The pool holds the best keep states of the last cut by (energy, index)
     # and every later state whose energy is at most the keep-th of them. It is
     # cut back to keep rows once it holds 2 * keep, and after the last chunk.
@@ -298,6 +293,9 @@ class VqeSettings:
     max_evals: int = 500
     seed: int = 0
     initial_params: Optional[tuple[float, ...]] = None
+
+    def __post_init__(self):
+        ising.check_count(self.max_evals, "max_evals")
 
 
 def check_vqe_settings(spec: AnsatzSpec, settings: VqeSettings) -> None:
@@ -432,7 +430,7 @@ def vqe_statevector(
     evaluates once. Returns the population at the best parameters: the ``keep``
     best states of a ``shots`` multinomial sample, or the ``keep`` most probable.
     """
-    _check_keep(keep)
+    ising.check_count(keep, "keep")
     ising.check_cvar(alpha, shots)
     n = spec.n_qubits
     if np.shape(energies) != (1 << n,):

@@ -324,6 +324,40 @@ def test_criterion_8_lift_over_uniform():
     assert ok
 
 
+def test_criterion_7_ground_state_fidelity():
+    # The fixed-seed fidelity signal for tuning the penalty weights: how often the
+    # QUBO ground state (row 0) of a draw is a feasible or an optimal fold, against
+    # post-selection over the whole population, on every 5-bead H/P sequence
+    # with a non-bonded H pair.
+    t0 = time.time()
+    ground_feasible = ground_optimal = selected_optimal = draws = 0
+    for beads in map("".join, itertools.product("HP", repeat=5)):
+        if not hp.hydrophobic_pairs(hp.parse_sequence(beads)):
+            continue
+        result = hp.solve_sequence(
+            hp.RunConfig(sequence=beads, solver="exhaustive", draws=10, seed=0)
+        )
+        oracle, _ = hp.enumerate_optimal(result.sequence)
+        for out in result.draws:
+            counts = candidate_counts(
+                out.population.samples.bits[:1], out.qubo.layout, result.sequence
+            )[0]
+            feasible = not counts[:-1].any()
+            ground_feasible += feasible
+            ground_optimal += feasible and counts[-1] == oracle
+            selected_optimal += out.selected.feasible and out.selected.contacts == oracle
+            draws += 1
+    ok = draws == 220 and selected_optimal == draws
+    report(
+        "7 fidelity",
+        ok,
+        f"ground state feasible in {ground_feasible}/{draws} draws and optimal in "
+        f"{ground_optimal}/{draws}; post-selection optimal in {selected_optimal}/{draws} "
+        f"({time.time() - t0:.1f}s)",
+    )
+    assert ok
+
+
 @pytest.mark.slow
 def test_criterion_1_table_floor_reproduction():
     t0 = time.time()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ class TestDrawAxes:
 class TestCalibrate:
     def test_table_row_counts(self):
         seq = parse_sequence("HPPHPPHPHH")
-        pen = calibrate_penalties(seq, lambda3_hint=0.5)
+        pen = calibrate_penalties(seq, overrides={"lambda3": 0.5})
         assert pen.lambda2 == 1.0
         assert pen.lambda3 == 0.5
         assert pen.lambda0 == pytest.approx((36 + 14) / 9)
@@ -318,6 +319,10 @@ class TestCalibrate:
         with pytest.warns(UserWarning):
             pen = calibrate_penalties(parse_sequence("PPPP"))
         assert pen.lambda0 == 1.0
+        with warnings.catch_warnings():  # only a calibrated lambda0 warns
+            warnings.simplefilter("error")
+            pen = calibrate_penalties(parse_sequence("PPPP"), overrides={"lambda0": 3.0})
+        assert pen.lambda1 == 30.0
 
     def test_overrides(self):
         pen = calibrate_penalties(
@@ -325,19 +330,27 @@ class TestCalibrate:
         )
         assert pen.lambda0 == 2.0
         assert pen.lambda4 == 99.0
+        assert pen.lambda1 == 20.0  # calibrated from the set lambda0
         with pytest.raises(ValueError):
             calibrate_penalties(parse_sequence("HPPH"), overrides={"lambda9": 1.0})
+        seq = parse_sequence("HPPHPPHPHH")  # 9 objective, 36 overlap and 28 crossing terms
+        pen = calibrate_penalties(seq, overrides={"lambda0": 100.0})
+        assert (pen.lambda1, pen.lambda2, pen.lambda3, pen.lambda4) == (1000.0, 1.0, 0.5, 1000.0)
+        pen = calibrate_penalties(seq, overrides={"lambda3": 5.0})
+        assert pen.lambda0 == (36 + 5.0 * 28) / 9
+        assert pen.lambda1 == pen.lambda4 == 10 * pen.lambda0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             PenaltyConfig(-1, 0, 0, 0, 0)
 
-    @pytest.mark.parametrize("hint", [math.inf, -math.inf, math.nan, -0.5])
-    def test_bad_lambda3_hint_named(self, hint):
-        # the hint is rejected by its own name, not by the weights derived from it
+    @pytest.mark.parametrize("lambda3", [math.inf, -math.inf, math.nan, -0.5])
+    def test_bad_lambda3_hint_named(self, lambda3):
+        # a set lambda3, which the unset weights are calibrated from, is rejected
+        # by its own name, not by the weights derived from it
         for beads in ("HPPH", "PPPP"):
-            with pytest.raises(ValueError, match="lambda3_hint must be finite and non-negative"):
-                calibrate_penalties(parse_sequence(beads), lambda3_hint=hint)
+            with pytest.raises(ValueError, match="^lambda3 must be finite and non-negative"):
+                calibrate_penalties(parse_sequence(beads), overrides={"lambda3": lambda3})
 
 
 class TestAssemble:

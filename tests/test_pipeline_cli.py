@@ -62,14 +62,11 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "setting, value",
         [("lambda0", True), ("lambda0", "2"), ("lambda4", False), ("lambda1", 10**400),
-         ("lambda3_hint", True), ("lambda3_hint", "0.5")],
+         ("lambda3", True), ("lambda3", "0.5")],
     )
     def test_penalty_settings_are_real_numbers(self, setting, value):
         # the run stops before its first draw is assembled
-        if setting == "lambda3_hint":
-            cfg = RunConfig(sequence="HPPH", draws=1, lambda3_hint=value)
-        else:
-            cfg = RunConfig(sequence="HPPH", draws=1, lambda_overrides={setting: value})
+        cfg = RunConfig(sequence="HPPH", draws=1, lambda_overrides={setting: value})
         with mock.patch.object(pipeline, "assemble") as assemble:
             with pytest.raises(ValueError, match=f"^{setting} (must be a real number|is too large)"):
                 solve_sequence(cfg)
@@ -80,7 +77,7 @@ class TestRunConfig:
         calibrated = hp.calibrate_penalties(seq)
         assert hp.calibrate_penalties(seq, overrides={"lambda0": None}) == calibrated
         assert hp.calibrate_penalties(
-            seq, np.float64(calibrated.lambda3), {"lambda2": np.int64(1)}
+            seq, overrides={"lambda3": np.float64(calibrated.lambda3), "lambda2": np.int64(1)}
         ) == calibrated
 
     def test_library_defaults_are_run_config_defaults(self):
@@ -99,7 +96,7 @@ class TestRunConfig:
             (hp.default_schedule, "restarts", "restarts"),
             (hp.AnnealSchedule, "sweeps", "sweeps"),
             (hp.AnnealSchedule, "restarts", "restarts"),
-            (hp.calibrate_penalties, "lambda3_hint", "lambda3_hint"),
+            (hp.calibrate_penalties, "overrides", "lambda_overrides"),
             (hp.vqe_statevector, "alpha", "alpha"),
             (hp.VqeSettings, "max_evals", "max_evals"),
             (hp.AnsatzSpec, "reps", "reps"),
@@ -757,7 +754,7 @@ class TestCli:
                 value = ",".join(value)
             assert found.group(1) == str(value), action.dest
             checked += 1
-        assert checked == 16
+        assert checked == 15
 
     @pytest.mark.parametrize(
         "flags",
@@ -780,8 +777,8 @@ class TestCli:
             ["--weights-file", "1,4,inf"],
             ["--lambda0", "nan"],
             ["--lambda1", "inf"],
-            ["--lambda3-hint", "nan"],
-            ["--lambda3-hint", "inf"],
+            ["--lambda3", "nan"],
+            ["--lambda3", "-1"],
             ["--weights-file", "1,4,2\n1,4,3"],  # one pair, two weights
             ["--weights-file", "1,4,2\n4,1,3"],  # the same pair written in both orders
             ["--weights-file", "1,2,5", "--seq", "HHPH"],  # a bonded pair
@@ -804,14 +801,35 @@ class TestCli:
 
     @pytest.mark.parametrize("hint", ["inf", "nan", "-1"])
     def test_bad_lambda3_hint_exits_before_any_draw(self, hint, tmp_path, monkeypatch, capsys):
+        # a set lambda3 is named, not the weights calibrated from it
         def no_draws(*args, **kwargs):
             raise AssertionError("a draw started")
 
         monkeypatch.setattr(hp.pipeline, "draw_axes", no_draws)
-        argv = ["--seq", "HPPH", f"--lambda3-hint={hint}", "--out-dir", str(tmp_path / "out")]
+        argv = ["--seq", "HPPH", f"--lambda3={hint}", "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 2
-        assert "lambda3_hint must be finite and non-negative" in capsys.readouterr().err
+        assert "config error: lambda3 must be finite and non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_the_lambda3_hint_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--seq", "HPPH", "--lambda3-hint", "2", "--out-dir", str(tmp_path / "out")])
+        assert exited.value.code == 2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lambda3_hint": 2.0}))
+        argv = ["--seq", "HPPH", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "unknown config key 'lambda3_hint'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_set_weight_rebalances_the_logical_penalties(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["--seq", "HPPH", "--draws", "1", "--sweeps", "20", "--restarts", "2",
+                "--lambda0", "100", "--format", "json", "--out-dir", str(out)]
+        assert main(argv) == 0
+        penalties = strict_json(out / "result.json")["penalties"]
+        assert penalties == {"lambda0": 100.0, "lambda1": 1000.0, "lambda2": 1.0,
+                             "lambda3": 0.5, "lambda4": 1000.0}
 
     def test_old_length_resume_params_exit_before_any_draw(self, tmp_path, monkeypatch, capsys):
         # 48 = 2 * 12 * (1 + 1), the length before the final RZ layer was dropped

@@ -916,7 +916,7 @@ def test_qubo_json_round_trip(q, seq):
     assert hp.qubo_to_json(back, sequence=seq) == text
 
 
-# Penalty weights and hints. The builders prune coefficients at or below
+# Penalty weights. The builders prune coefficients at or below
 # PRUNE_THRESHOLD in every intermediate sum and assemble prunes once, so a
 # weight near 1e-12 can leave a coefficient within rounding of the threshold,
 # kept by one and pruned by the other.
@@ -937,7 +937,7 @@ def encodings(draw):
     ))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # sequences without H pairs warn
-        penalties = encoder.calibrate_penalties(seq, draw(LAMBDAS), overrides)
+        penalties = encoder.calibrate_penalties(seq, overrides=overrides)
     axis_draw = encoder.draw_axes(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), layout)
     return seq, layout, penalties, axis_draw
 
@@ -958,6 +958,47 @@ def test_assemble_matches_the_builders(case):
     scale = max(map(abs, spec.values()), default=0.0)
     for key, coeff in spec.items():
         assert abs(got[key] - coeff) <= 1e-12 * scale
+
+
+PENALTY_NAMES = ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    beads=st.text("HP", min_size=2, max_size=12),
+    given_weights=st.dictionaries(
+        st.sampled_from(PENALTY_NAMES),
+        st.one_of(st.none(), st.integers(0, 10**6), st.floats(0.0, 1e300),
+                  st.sampled_from([0.0, 5e-324, 1e307, 1.7e308])),
+    ),
+)
+@example(beads="HPPHPPHPHH", given_weights={"lambda0": 100.0})
+@example(beads="HPPHPPHPHH", given_weights={"lambda3": 5.0})
+@example(beads="PPPP", given_weights={"lambda2": 2.0})
+@example(beads="HPPHPPHPHH", given_weights={"lambda2": 1e308, "lambda4": 1.0})  # λ0 overflows
+def test_set_weights_are_kept_and_the_rest_calibrated_from_them(beads, given_weights):
+    seq = parse_sequence(beads)
+    n0 = len(hydrophobic_pairs(seq))
+    n2, n3 = len(encoder.overlap_pairs(len(seq))), len(encoder.crossing_pairs(len(seq)))
+    set_weights = {k: float(v) for k, v in given_weights.items() if v is not None}
+    w = {"lambda2": 1.0, "lambda3": 0.5, **set_weights}
+    if "lambda0" not in w:
+        w["lambda0"] = (w["lambda2"] * n2 + w["lambda3"] * n3) / n0 if n0 else 1.0
+    logical = 10.0 * max(w["lambda0"], w["lambda2"], w["lambda3"])
+    w = {"lambda1": logical, "lambda4": logical, **w}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if not all(map(math.isfinite, w.values())):
+            # the set weights are named, never the derived one that overflowed
+            with pytest.raises(ValueError) as raised:
+                encoder.calibrate_penalties(seq, overrides=given_weights)
+            named = ", ".join(set_weights)
+            assert str(raised.value) == f"the weights calibrated from {named} overflow a float"
+            return
+        pen = encoder.calibrate_penalties(seq, overrides=given_weights)
+    assert pen.to_dict() == {k: w[k] for k in PENALTY_NAMES}  # the set weights kept exactly
+    # sequences without H pairs warn, and only when lambda0 is calibrated
+    assert len(caught) == (n0 == 0 and "lambda0" not in set_weights)
 
 
 def reference_simulate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:

@@ -262,8 +262,32 @@ def test_population_size_below_one_is_refused(solver, keep):
             basis_energies(q), AnsatzSpec(q.n_vars), VqeSettings(max_evals=60), keep=keep
         ),
     }
-    with pytest.raises(ValueError, match=f"keep must be >= 1, got {keep}"):
+    with pytest.raises(ValueError, match=f"^keep must be an integer >= 1, got {keep}"):
         calls[solver]()
+
+
+# Each count is an integer of at least its minimum, never a boolean or a float
+@pytest.mark.parametrize(
+    "field, least, call",
+    [
+        ("keep", 1, lambda q: anneal(q, AnnealSchedule(t_initial=10.0, sweeps=5), keep=True)),
+        ("keep", 1, lambda q: anneal(q, AnnealSchedule(t_initial=10.0, sweeps=5), keep=2.0)),
+        ("keep", 1, lambda q: exhaustive(q, keep=2.5)),
+        ("keep", 1, lambda q: vqe_statevector(
+            basis_energies(q), AnsatzSpec(q.n_vars), VqeSettings(max_evals=60), keep=True)),
+        ("sweeps", 1, lambda q: AnnealSchedule(t_initial=10.0, sweeps=2.5)),
+        ("restarts", 1, lambda q: AnnealSchedule(t_initial=10.0, restarts=1.5)),
+        ("n_qubits", 0, lambda q: AnsatzSpec(True)),
+        ("reps", 1, lambda q: AnsatzSpec(2, reps=True)),
+        ("max_evals", 1, lambda q: VqeSettings(max_evals=60.5)),
+    ],
+    ids=["anneal-keep-true", "anneal-keep-float", "exhaustive-keep-float", "vqe-keep-true",
+         "float-sweeps", "float-restarts", "boolean-qubits", "boolean-reps", "float-max-evals"],
+)
+def test_library_counts_are_integers(field, least, call):
+    _, q = folding_problem("HPPH", seed=3)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= {least}, got "):
+        call(q)
 
 
 @pytest.mark.parametrize("solver", ["exhaustive", "anneal", "vqe"])
